@@ -28,9 +28,13 @@ span and returns them serialised alongside the delta.  Both ride on
 success *and* failure events, so a retried attempt's telemetry survives
 the retry.
 
-Events are raw tuples; the sweep loop turns them into
+Both executors run the same :func:`run_attempt`: the child worker wraps
+it in a fresh registry and a pipe, and :class:`InlineExecutor` calls it
+in the sweep's own process behind the same ``submit``/``poll``/
+``active``/``abort`` surface.  Either way the sweep loop sees
+:class:`CellEvent`s and turns failures into
 :class:`~repro.resilience.errors.RunError`s (which know the attempt
-budget) and :class:`~repro.runner.sweep.RunOutcome`s.
+budget) and results into :class:`~repro.runner.sweep.RunOutcome`s.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_connections
@@ -49,72 +54,102 @@ from ..obs.manifest import collect_manifest
 from ..obs.metrics import MetricsRegistry, set_registry
 from ..obs.telemetry import SpanRecorder
 
-__all__ = ["CellEvent", "CellExecutor"]
+__all__ = ["CellEvent", "CellExecutor", "InlineExecutor", "run_attempt"]
 
 #: Upper bound on one poll's blocking wait; keeps timeouts responsive.
 POLL_SECONDS = 0.05
 
 
+def _stage(recorder: Optional[SpanRecorder], name: str, parent, tid: int):
+    """A ``stage`` span under ``parent``, or nothing without a recorder."""
+    if recorder is None:
+        return nullcontext()
+    return recorder.span(name, kind="stage", parent=parent, tid=tid)
+
+
+def run_attempt(
+    spec,
+    attempt: int,
+    faults=None,
+    recorder: Optional[SpanRecorder] = None,
+    parent: Optional[str] = None,
+    tid: int = 0,
+    probe=None,
+    isolated: bool = False,
+) -> dict:
+    """Run one cell attempt: fire injected faults, simulate, collect provenance.
+
+    The one attempt path, shared by the child worker (``isolated=True``:
+    kill faults fire and even an interrupt becomes an error message) and
+    :class:`InlineExecutor` (kill faults are skipped and interrupts
+    propagate to the sweep).  With a ``recorder`` the attempt records its
+    ``attempt → simulate/report`` spans under the ``parent`` span id.
+    Returns the :class:`CellEvent` fields that describe the outcome.
+    """
+    pid = os.getpid()
+    attempt_span = None
+    if recorder is not None:
+        attempt_span = recorder.begin(
+            f"attempt {attempt}", kind="attempt", parent=parent, tid=tid,
+            attempt=attempt, cell=spec.cell_id(),
+        )
+
+    start = time.perf_counter()
+    try:
+        if faults is not None:
+            faults.fire_worker_faults(spec.cell_id(), attempt, allow_kill=isolated)
+        with _stage(recorder, "simulate", attempt_span, tid):
+            result = spec.run(probe=probe)
+        elapsed = time.perf_counter() - start
+        with _stage(recorder, "report", attempt_span, tid):
+            manifest = collect_manifest(
+                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
+            )
+    except BaseException as exc:  # noqa: BLE001 - everything becomes a message
+        elapsed = time.perf_counter() - start
+        escapes = not isolated and not isinstance(exc, Exception)
+        if attempt_span is not None:
+            if escapes:
+                attempt_span.end(status="interrupted")
+            else:
+                attempt_span.end(status="error", error=type(exc).__name__)
+        if escapes:
+            raise
+        return dict(
+            kind="exception", exc_type=type(exc).__name__, message=str(exc),
+            traceback=traceback.format_exc(), worker=pid, elapsed=elapsed,
+        )
+    if attempt_span is not None:
+        attempt_span.end(status="ok")
+    return dict(payload=(result, elapsed, pid, manifest), worker=pid)
+
+
 def _cell_worker(
     conn: Connection, spec, attempt: int, faults, span_context=None
 ) -> None:
-    """Child entry point: fire injected faults, simulate, report on the pipe.
+    """Child entry point: run the attempt, report it on the pipe.
 
     The attempt runs against a fresh process-wide registry, whose snapshot
     travels back as the event's metrics delta; with a ``span_context``
     the attempt also records its span subtree (attempt → stages) for the
     parent to ingest.
     """
-    pid = os.getpid()
     registry = MetricsRegistry()
     set_registry(registry)
-    recorder = None
-    attempt_span = None
+    recorder = parent = None
     if span_context is not None:
-        trace_id, parent_span_id = span_context
+        trace_id, parent = span_context
         recorder = SpanRecorder(trace_id=trace_id)
-        attempt_span = recorder.begin(
-            f"attempt {attempt}", kind="attempt", parent=parent_span_id,
-            attempt=attempt, cell=spec.cell_id(),
-        )
-    start = time.perf_counter()
-
-    def _telemetry() -> Tuple[Optional[dict], List[dict]]:
-        delta = registry.as_dict()
-        if not any(delta.values()):
-            delta = None
-        return delta, recorder.serialized() if recorder is not None else []
-
     try:
-        if faults is not None:
-            faults.fire_worker_faults(spec.cell_id(), attempt)
-        if recorder is not None:
-            with recorder.span("simulate", kind="stage", parent=attempt_span):
-                result = spec.run()
-        else:
-            result = spec.run()
-        elapsed = time.perf_counter() - start
-        if recorder is not None:
-            with recorder.span("report", kind="stage", parent=attempt_span):
-                manifest = collect_manifest(
-                    spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
-                )
-            attempt_span.end(status="ok")
-        else:
-            manifest = collect_manifest(
-                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
-            )
-        delta, spans = _telemetry()
-        conn.send(("ok", result, elapsed, pid, manifest, delta, spans))
-    except BaseException as exc:  # noqa: BLE001 - everything becomes an event
-        elapsed = time.perf_counter() - start
-        if attempt_span is not None:
-            attempt_span.end(status="error", error=type(exc).__name__)
-        delta, spans = _telemetry()
-        conn.send(
-            ("error", type(exc).__name__, str(exc),
-             traceback.format_exc(), pid, elapsed, delta, spans)
+        outcome = run_attempt(
+            spec, attempt, faults, recorder, parent, isolated=True
         )
+        delta = registry.as_dict()
+        conn.send((
+            outcome,
+            delta if any(delta.values()) else None,
+            recorder.serialized() if recorder is not None else [],
+        ))
     finally:
         conn.close()
 
@@ -281,30 +316,10 @@ class CellExecutor:
 
     def _message_event(self, index: int, task: _Task, message) -> CellEvent:
         self._reap(task)
-        if message[0] == "ok":
-            _, result, elapsed, pid, manifest, metrics, spans = message
-            return CellEvent(
-                index=index,
-                spec=task.spec,
-                attempt=task.attempt,
-                payload=(result, elapsed, pid, manifest),
-                worker=pid,
-                metrics=metrics,
-                spans=tuple(spans),
-            )
-        _, exc_type, text, tb, pid, elapsed, metrics, spans = message
+        outcome, metrics, spans = message
         return CellEvent(
-            index=index,
-            spec=task.spec,
-            attempt=task.attempt,
-            kind="exception",
-            exc_type=exc_type,
-            message=text,
-            traceback=tb,
-            worker=pid,
-            elapsed=elapsed,
-            metrics=metrics,
-            spans=tuple(spans),
+            index=index, spec=task.spec, attempt=task.attempt,
+            metrics=metrics, spans=tuple(spans), **outcome,
         )
 
     def _crash_event(self, index: int, task: _Task) -> CellEvent:
@@ -351,5 +366,76 @@ class CellExecutor:
         for task in self._running.values():
             self._reap(task, kill=True)
         self._running.clear()
+        self._queue.clear()
+        return dropped
+
+
+class InlineExecutor:
+    """Run cell attempts in this process: :class:`CellExecutor`'s surface.
+
+    For sweeps a child process cannot serve (probes stream per-reference
+    events that cannot cross processes) or does not need to (one job, no
+    timeout, no kill fault).  Attempts run one per :meth:`poll`, in cell
+    order, so a retried cell runs again before the next cell starts; its
+    backoff is a delayed :meth:`submit` that the poll sleeps out.  Kill
+    faults are skipped, an interrupt propagates to the caller, and the
+    attempt's metrics land in the process-wide registry directly.
+    """
+
+    #: nothing runs between polls
+    in_flight = 0
+
+    def __init__(
+        self,
+        faults=None,
+        telemetry: Optional[SpanRecorder] = None,
+        probe_factory=None,
+    ) -> None:
+        self._faults = faults
+        self._telemetry = telemetry
+        self._probe_factory = probe_factory
+        self._queue: List[Tuple[int, float, int, object, object]] = []
+
+    def submit(
+        self,
+        index: int,
+        spec,
+        attempt: int = 1,
+        delay: float = 0.0,
+        span_context=None,
+    ) -> None:
+        """Queue one cell attempt, optionally delayed (retry backoff)."""
+        heapq.heappush(
+            self._queue,
+            (index, time.monotonic() + delay, attempt, spec, span_context),
+        )
+
+    @property
+    def active(self) -> bool:
+        return bool(self._queue)
+
+    def poll(self) -> List[CellEvent]:
+        """Run the lowest-indexed queued attempt once its backoff is over."""
+        if not self._queue:
+            return []
+        index, ready, attempt, spec, span_context = heapq.heappop(self._queue)
+        pause = ready - time.monotonic()
+        if pause > 0:
+            time.sleep(pause)
+        probe = (
+            self._probe_factory(spec) if self._probe_factory is not None else None
+        )
+        outcome = run_attempt(
+            spec, attempt, self._faults,
+            recorder=self._telemetry,
+            parent=span_context[1] if span_context is not None else None,
+            tid=index + 1,
+            probe=probe,
+        )
+        return [CellEvent(index=index, spec=spec, attempt=attempt, **outcome)]
+
+    def abort(self) -> int:
+        """Drop the queue; returns cells dropped."""
+        dropped = len(self._queue)
         self._queue.clear()
         return dropped

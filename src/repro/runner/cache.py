@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import pickle
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..core.simulator import SimulationResult
 from ..obs.log import fields, get_logger
@@ -102,29 +102,42 @@ class ResultCache:
         )
         path.unlink(missing_ok=True)
 
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """The cached result for ``key``, or None (counted as hit/miss)."""
-        path = self.path_for(key)
+    def _load(self, key: str) -> Tuple[Optional[SimulationResult], str]:
+        """Decode ``key``'s entry: ``(result, "")``, or ``(None, why)``.
+
+        ``why`` is empty when the entry is simply absent.
+        """
         try:
-            with path.open("rb") as handle:
+            with self.path_for(key).open("rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
-            self.registry.counter("cache.miss").inc()
-            return None
+            return None, ""
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
-            self.misses += 1
-            self.registry.counter("cache.miss").inc()
-            self._corrupt(path, key, f"{type(error).__name__}: {error}")
-            return None
+            return None, f"{type(error).__name__}: {error}"
         if not isinstance(result, SimulationResult):
+            return None, f"wrong type {type(result).__name__}"
+        return result, ""
+
+    def get(self, key: str) -> Optional[SimulationResult]:
+        """The cached result for ``key``, or None (counted as hit/miss)."""
+        result, problem = self._load(key)
+        if result is None:
             self.misses += 1
             self.registry.counter("cache.miss").inc()
-            self._corrupt(path, key, f"wrong type {type(result).__name__}")
+            if problem:
+                self._corrupt(self.path_for(key), key, problem)
             return None
         self.hits += 1
         self.registry.counter("cache.hit").inc()
         return result
+
+    def peek(self, key: str) -> Optional[SimulationResult]:
+        """Like :meth:`get`, but counts nothing and removes nothing.
+
+        For callers that only ask whether an entry is usable, ahead of a
+        sweep that will read (and count) it.
+        """
+        return self._load(key)[0]
 
     def get_manifest(self, key: str) -> Optional[RunManifest]:
         """The stored provenance for ``key``'s result, if any survives."""

@@ -1,86 +1,47 @@
-"""The parallel sweep engine: fan RunSpecs across workers, merge results.
+"""The sweep engine: plan a grid, run its misses, settle every cell.
 
-One sweep executes a grid of :class:`~repro.runner.spec.RunSpec`s —
-consulting the optional :class:`~repro.runner.cache.ResultCache` first,
-fanning the misses over worker processes (``jobs > 1``) or running them
-inline (``jobs == 1``) — and returns a :class:`SweepReport` carrying every
-result plus the throughput and cache metrics.
+:func:`run_sweep` is three plain parts (see ``docs/runner.md``):
 
-Re-pricing (the paper's Section 4.1 method at sweep scale): cells whose
-specs differ only in the ``characterization`` pricing axis share a
-:meth:`~repro.runner.spec.RunSpec.base_cache_key` and therefore identical
-counters, so only one of them — the leader — simulates; the rest are served
-from its result, flagged :attr:`RunOutcome.repriced` and counted in the
-``sweep.repriced`` metric.  Sweeping k characterization files costs exactly
-one simulation per (protocol, trace, ...) configuration.  Results land in
-the cache under both the full key and the base key, so a *later* sweep with
-a brand-new characterization file re-prices from disk without simulating at
-all.  See ``docs/characterization.md``.
+1. **Plan** — :func:`~repro.runner.plan.plan_sweep` splits the grid into
+   cache hits (direct, or via the characterization-free base key),
+   leaders to simulate, and followers re-priced from a leader's counters
+   (the paper's Section 4.1 method: sweeping k characterizations costs
+   one simulation per configuration).
+2. **Dispatch** — one loop submits the leaders to an executor and
+   consumes its :class:`~repro.resilience.executor.CellEvent` stream,
+   resubmitting failed attempts after a deterministic backoff
+   (:class:`~repro.resilience.retry.RetryPolicy`).  The executor is a
+   :class:`~repro.resilience.executor.CellExecutor` (one child process
+   per attempt: isolation, kill-based ``cell_timeout``, crash detection)
+   when ``jobs > 1``, a timeout or a kill fault asks for one, and an
+   :class:`~repro.resilience.executor.InlineExecutor` otherwise, including
+   every probed sweep (probe event streams cannot cross processes).
+3. **Settle** — every finished cell, whether hit, simulated, re-priced or
+   failed, goes through one step that fills its outcome slot and records
+   its counter, span or marker, cache entries, journal line, log line
+   and progress hook.
 
-Resilience (see ``docs/robustness.md``): cells execute one process per
-attempt through :class:`~repro.resilience.executor.CellExecutor`, so a
-cell that raises, hangs past ``cell_timeout`` (SIGKILLed by the parent) or
-loses its worker to a crash becomes a structured
-:class:`~repro.resilience.errors.RunError` rather than a hung or aborted
-sweep.  Failed attempts are retried with exponential backoff and
-deterministic jitter (:class:`~repro.resilience.retry.RetryPolicy`); a
-cell that exhausts its budget either aborts the sweep
-(``keep_going=False``, the historic fail-fast default, raising
-:class:`~repro.resilience.errors.CellFailure`) or lands in
-:attr:`SweepReport.failures` while the rest of the grid completes.  A
-:class:`~repro.resilience.journal.SweepJournal` records every outcome for
-crash-safe ``--resume``, SIGINT tears the pool down promptly and raises
-:class:`~repro.resilience.errors.SweepInterrupted` with the flushed
-partial results, and a seeded
-:class:`~repro.resilience.faults.FaultPlan` can inject failures at every
-seam for testing.
-
-Observability: every sweep tallies into a
-:class:`~repro.obs.metrics.MetricsRegistry` (wall time, cell timings,
-cache traffic, ``sweep.failures``/``sweep.retries``/``sweep.timeouts``;
-exposed as :attr:`SweepReport.registry` and via
-:meth:`SweepReport.metrics_dict` for ``--metrics-json``), every executed
-cell carries a :class:`~repro.obs.manifest.RunManifest` with its
-provenance (failed cells carry the failure record in the manifest's
-``error`` field), progress and heartbeat lines go through the structured
-``repro.runner.sweep`` logger, and a ``probe_factory`` can attach a
-per-reference :class:`~repro.obs.probe.ReferenceProbe` to each simulated
-cell (probed sweeps run inline, since event streams cannot cross process
-boundaries).
-
-Distributed telemetry (see ``docs/observability.md``): registry snapshots
-tallied *inside* worker subprocesses ride back on the executor's result
-events and are folded into the sweep registry with
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, so
-:meth:`SweepReport.metrics_dict` reflects what workers actually did.  An
-optional :class:`~repro.obs.telemetry.SpanRecorder` (``telemetry=``)
-records the sweep's causal tree — ``sweep → cell → attempt → stage``
-spans plus ``cache_hit``/``reprice``/``retry``/``timeout``/``fault``
-markers — with worker-side spans joined across the process boundary via
-:data:`~repro.obs.telemetry.SpanContext`.  On the heartbeat cadence
-(``heartbeat_seconds``, env ``REPRO_HEARTBEAT_SECONDS``, ``0`` disables)
-the loop also atomically publishes a status snapshot next to the journal
-(or at ``status_path``) that the ``repro-coherence status`` verb renders
-from a different process.  All of it is observer-only: counters stay
-bit-identical with telemetry on, and with everything off the loop pays a
-handful of ``is None`` checks.
+A cell that exhausts its attempts aborts the sweep (``keep_going=False``,
+raising :class:`~repro.resilience.errors.CellFailure`) or lands in
+:attr:`SweepReport.failures`.  SIGINT raises
+:class:`~repro.resilience.errors.SweepInterrupted` with the partial
+results.  Telemetry (metrics registry, ``sweep → cell → attempt → stage``
+spans, heartbeat status snapshots) is observer-only: counters stay
+bit-identical with it on (``docs/observability.md``).
 
 Determinism contract: the outcome list is ordered exactly like the input
-spec list regardless of worker scheduling, and each worker reconstructs its
-trace from the spec's seed, so ``jobs=N`` produces bit-identical counters
-to ``jobs=1``.  Only the metrics (timings, worker attribution) vary from
-run to run, which is why :meth:`SweepReport.cell_table` excludes them and
-the CLI routes them to stderr.
+spec list and each attempt reconstructs its trace from the spec's seed,
+so ``jobs=N`` produces bit-identical counters to ``jobs=1``; only timings
+and worker attribution vary, which :meth:`SweepReport.cell_table` omits.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.comparison import ComparisonResult
 from ..core.simulator import SimulationResult
@@ -91,10 +52,11 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.probe import ReferenceProbe
 from ..obs.telemetry import SpanRecorder, write_status
 from ..resilience.errors import CellFailure, RunError, SweepInterrupted
-from ..resilience.executor import CellExecutor
+from ..resilience.executor import CellEvent, CellExecutor, InlineExecutor
 from ..resilience.journal import JOURNAL_SUFFIX, SweepJournal
 from ..resilience.retry import RetryPolicy
 from .cache import ResultCache
+from .plan import plan_sweep
 from .spec import INFINITE_GEOMETRY, RunSpec
 
 __all__ = ["RunOutcome", "SweepReport", "run_sweep"]
@@ -169,6 +131,11 @@ class RunOutcome:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def simulated(self) -> bool:
+        """True when this cell paid for a simulation of its own this run."""
+        return self.ok and not self.cached and not self.repriced
+
     def __post_init__(self) -> None:
         if (self.result is None) == (self.error is None):
             raise ValueError(
@@ -211,11 +178,7 @@ class SweepReport:
         one-run-many-models method means k characterizations of one
         configuration count as one simulation here.
         """
-        return sum(
-            1
-            for outcome in self.outcomes
-            if outcome.ok and not outcome.cached and not outcome.repriced
-        )
+        return sum(1 for outcome in self.outcomes if outcome.simulated)
 
     @property
     def repricings(self) -> int:
@@ -240,8 +203,8 @@ class SweepReport:
     def simulated_references(self) -> int:
         return sum(
             outcome.result.references
-            for outcome in self.successes
-            if not outcome.cached and not outcome.repriced
+            for outcome in self.outcomes
+            if outcome.simulated
         )
 
     @property
@@ -255,7 +218,7 @@ class SweepReport:
         """Per-worker (cells simulated, simulation seconds), keyed by pid."""
         timings: Dict[int, Tuple[int, float]] = {}
         for outcome in self.outcomes:
-            if outcome.cached or outcome.repriced or not outcome.ok:
+            if not outcome.simulated:
                 continue
             cells, seconds = timings.get(outcome.worker, (0, 0.0))
             timings[outcome.worker] = (cells + 1, seconds + outcome.elapsed)
@@ -432,6 +395,358 @@ class SweepReport:
         }
 
 
+@dataclass(eq=False)
+class _Sweep:
+    """One running sweep: its settings, its progress, and the one settle step.
+
+    :func:`run_sweep` feeds it the plan's cache hits, then every
+    :class:`~repro.resilience.executor.CellEvent` its executor returns.
+    Every finished cell, however it was served, goes through
+    :meth:`settle`.
+    """
+
+    specs: List[RunSpec]
+    keys: List[str]
+    base_keys: List[str]
+    cell_ids: List[str]
+    jobs: int
+    executor: Union[CellExecutor, InlineExecutor]
+    cache: Optional[ResultCache]
+    progress: Optional[ProgressHook]
+    registry: MetricsRegistry
+    policy: RetryPolicy
+    keep_going: bool
+    max_failures: Optional[int]
+    faults: object
+    journal: Optional[SweepJournal]
+    telemetry: Optional[SpanRecorder]
+    beat_every: float
+    status_file: Optional[Path]
+    sweep_id: str
+    #: leader index -> cells re-priced from its counters (see plan_sweep)
+    followers: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
+    done: int = 0
+    failed: int = 0
+    status_healthy: bool = True
+
+    def __post_init__(self) -> None:
+        self.outcomes: List[Optional[RunOutcome]] = [None] * len(self.specs)
+        self.started = self.last_beat = time.perf_counter()
+        self.cell_spans: Dict[int, object] = {}
+        self.sweep_span = (
+            self.telemetry.begin(
+                f"sweep {self.sweep_id[:12]}", kind="sweep",
+                sweep_id=self.sweep_id, cells=len(self.specs), jobs=self.jobs,
+            )
+            if self.telemetry is not None
+            else None
+        )
+
+    # -- telemetry -------------------------------------------------------------
+
+    def span_context(self, index: int):
+        """What an attempt needs to hang its spans under this cell's span.
+
+        Opens the cell span on first use; None without telemetry.
+        """
+        if self.telemetry is None:
+            return None
+        span = self.cell_spans.get(index)
+        if span is None:
+            span = self.cell_spans[index] = self.telemetry.begin(
+                self.cell_ids[index], kind="cell", parent=self.sweep_span,
+                tid=index + 1,
+            )
+        return (self.telemetry.trace_id, span.span_id)
+
+    def _marker(self, index: int, kind: str, **attributes: object) -> None:
+        """An instant marker under the cell's span, else under the sweep's."""
+        if self.telemetry is not None:
+            self.telemetry.event(
+                self.cell_ids[index], kind=kind,
+                parent=self.cell_spans.get(index) or self.sweep_span,
+                tid=index + 1, **attributes,
+            )
+
+    def _end_cell_span(self, index: int, **attributes: object) -> None:
+        span = self.cell_spans.pop(index, None)
+        if span is not None:
+            span.end(**attributes)
+
+    # -- settling --------------------------------------------------------------
+
+    def settle(self, index: int, outcome: RunOutcome, attempts: int = 1) -> None:
+        """Record one finished cell.
+
+        Fills its outcome slot, then its counter, its span or marker, its
+        cache entries, its journal line, its log line and the progress
+        hook, in that order.
+        """
+        self.outcomes[index] = outcome
+        self.done += 1
+        key, cell = self.keys[index], self.cell_ids[index]
+        simulated = outcome.simulated
+        counter = self.registry.counter
+        if outcome.cached:
+            counter("sweep.cache_hits").inc()
+            if outcome.repriced:
+                counter("sweep.repriced").inc()
+            self._marker(index, "cache_hit", via_base=outcome.repriced)
+        elif outcome.repriced:
+            counter("sweep.repriced").inc()
+            self._marker(index, "reprice", worker=outcome.worker)
+        elif simulated:
+            counter("sweep.simulated").inc()
+            self.registry.histogram("sweep.cell_seconds").observe(outcome.elapsed)
+            self._end_cell_span(
+                index, status="ok", attempts=attempts,
+                elapsed_s=outcome.elapsed, worker=outcome.worker,
+            )
+        else:
+            self.failed += 1
+            counter("sweep.failures").inc()
+            self._end_cell_span(
+                index, status="failed", kind=outcome.error.kind,
+                attempts=attempts,
+            )
+        if self.cache is not None and (simulated or outcome.repriced):
+            self.cache.put(key, outcome.result, manifest=outcome.manifest)
+            if simulated and self.base_keys[index] != key:
+                # Also store under the characterization-free identity, so a
+                # future sweep with a brand-new characterization file can
+                # re-price this simulation instead of re-running it.
+                self.cache.put(
+                    self.base_keys[index], outcome.result,
+                    manifest=outcome.manifest,
+                )
+        if self.journal is not None:
+            self.journal.record_cell(
+                key, cell, "ok" if outcome.ok else "failed",
+                cached=outcome.cached, attempts=attempts,
+                elapsed=outcome.elapsed, error=outcome.error,
+            )
+        if simulated:
+            logger.debug(
+                "cell simulated",
+                extra=fields(
+                    protocol=outcome.spec.protocol, trace=outcome.spec.trace,
+                    elapsed_s=round(outcome.elapsed, 4),
+                    worker=outcome.worker, attempt=attempts,
+                ),
+            )
+        elif not outcome.ok:
+            error = outcome.error
+            logger.error(
+                "cell failed",
+                extra=fields(
+                    cell=cell, kind=error.kind,
+                    error=f"{error.exc_type}: {error.message}",
+                    attempts=error.attempts, worker=error.worker,
+                ),
+            )
+        if self.progress is not None:
+            self.progress(outcome)
+
+    def serve_hit(
+        self, index: int, result: SimulationResult, via_base: bool
+    ) -> None:
+        """Settle a cell the plan found in the cache.
+
+        A hit via the base key is re-pricing across sweeps: the exact
+        pricing is cold but the characterization-free simulation is warm,
+        so the counters are served and written back under the full key.
+        """
+        spec, key = self.specs[index], self.keys[index]
+        manifest = (
+            collect_manifest(spec.as_dict(), key, 0.0)
+            if via_base
+            else self.cache.get_manifest(key)
+        )
+        self.settle(
+            index,
+            RunOutcome(
+                spec=spec, result=result, cached=True, elapsed=0.0,
+                worker=os.getpid(), manifest=manifest, repriced=via_base,
+            ),
+        )
+
+    def complete(self, event: CellEvent) -> None:
+        """Settle a simulated cell, then the cells re-priced from it."""
+        result, elapsed, worker, manifest = event.payload
+        self.settle(
+            event.index,
+            RunOutcome(
+                spec=self.specs[event.index], result=result, cached=False,
+                elapsed=elapsed, worker=worker, manifest=manifest,
+            ),
+            attempts=event.attempt,
+        )
+        for index in self.followers.get(event.index, ()):
+            spec = self.specs[index]
+            self.settle(
+                index,
+                RunOutcome(
+                    spec=spec, result=result, cached=False, elapsed=0.0,
+                    worker=worker, repriced=True,
+                    manifest=collect_manifest(
+                        spec.as_dict(), self.keys[index], 0.0,
+                        worker_pid=worker,
+                    ),
+                ),
+            )
+        if self.faults is not None and self.faults.should_interrupt(
+            self.cell_ids[event.index], event.attempt
+        ):
+            raise KeyboardInterrupt  # injected SIGINT (fault harness)
+
+    def retry_or_fail(self, event: CellEvent) -> None:
+        """Resubmit a failed attempt after its backoff, or fail the cell."""
+        index, attempt = event.index, event.attempt
+        if event.kind == "timeout":
+            self.registry.counter("sweep.timeouts").inc()
+            self._marker(
+                index, "timeout", attempt=attempt, elapsed_s=event.elapsed
+            )
+        if event.exc_type == "InjectedFault":
+            self._marker(index, "fault", attempt=attempt)
+        if attempt < self.policy.max_attempts:
+            self.registry.counter("sweep.retries").inc()
+            delay = self.policy.delay(self.keys[index], attempt)
+            self._marker(
+                index, "retry", attempt=attempt, backoff_s=delay,
+                failure=event.kind,
+            )
+            logger.warning(
+                "cell attempt failed; retrying",
+                extra=fields(
+                    cell=self.cell_ids[index], kind=event.kind,
+                    attempt=attempt, max_attempts=self.policy.max_attempts,
+                    backoff_s=round(delay, 3),
+                    error=f"{event.exc_type}: {event.message}",
+                ),
+            )
+            self.executor.submit(
+                index, self.specs[index], attempt + 1, delay,
+                span_context=self.span_context(index),
+            )
+            return
+        error = RunError(
+            kind=event.kind, exc_type=event.exc_type, message=event.message,
+            attempts=attempt, worker=event.worker, elapsed=event.elapsed,
+            traceback=event.traceback,
+        )
+        # Cells waiting to be re-priced from this simulation fail with it.
+        elapsed = error.elapsed
+        for cell in (index, *self.followers.get(index, ())):
+            spec = self.specs[cell]
+            manifest = collect_manifest(
+                spec.as_dict(), self.keys[cell], elapsed,
+                worker_pid=error.worker, error=error.to_dict(),
+            )
+            self.settle(
+                cell,
+                RunOutcome(
+                    spec=spec, result=None, cached=False, elapsed=elapsed,
+                    worker=error.worker, manifest=manifest, error=error,
+                ),
+                attempts=error.attempts,
+            )
+            elapsed = 0.0
+        if not self.keep_going:
+            raise CellFailure(self.cell_ids[index], error)
+        if self.max_failures is not None and self.failed > self.max_failures:
+            raise CellFailure(
+                self.cell_ids[index], error,
+                reason=f"more than max_failures={self.max_failures} cells failed",
+            )
+
+    # -- progress reporting ----------------------------------------------------
+
+    def heartbeat(self) -> None:
+        """Log progress and refresh the status snapshot, on the cadence."""
+        if self.beat_every <= 0:
+            return
+        now = time.perf_counter()
+        if now - self.last_beat < self.beat_every:
+            return
+        self.last_beat = now
+        status = self.status("running")
+        logger.info(
+            "sweep progress",
+            extra=fields(
+                done=status["done"], total=status["cells"],
+                simulated=status["simulated"], failed=status["failed"],
+                references=status["references"],
+            ),
+        )
+        self.publish_status(status)
+
+    def status(self, state: str) -> Dict[str, object]:
+        """The sweep's status snapshot (``repro-coherence status`` renders it)."""
+        finished = [o for o in self.outcomes if o is not None]
+        simulated_refs = sum(o.result.references for o in finished if o.simulated)
+        running = self.executor.in_flight
+        elapsed = time.perf_counter() - self.started
+        cell_hist = self.registry.histogram("sweep.cell_seconds")
+        remaining = max(0, len(self.specs) - self.done)
+        eta = (
+            remaining * cell_hist.mean / max(1, self.jobs)
+            if state == "running" and cell_hist.count and remaining
+            else None
+        )
+        counter = self.registry.counter
+        return {
+            "state": state,
+            "ts": time.time(),
+            "pid": os.getpid(),
+            "sweep_id": self.sweep_id,
+            "cells": len(self.specs),
+            "done": self.done,
+            "ok": self.done - self.failed,
+            "failed": self.failed,
+            "running": running,
+            "pending": max(0, len(self.specs) - self.done - running),
+            "simulated": counter("sweep.simulated").value,
+            "cache_hits": counter("sweep.cache_hits").value,
+            "repriced": counter("sweep.repriced").value,
+            "retries": counter("sweep.retries").value,
+            "timeouts": counter("sweep.timeouts").value,
+            "references": sum(o.result.references for o in finished if o.ok),
+            "refs_per_sec": simulated_refs / elapsed if elapsed > 0 else 0.0,
+            "eta_s": eta,
+            "wall_s": elapsed,
+            "jobs": self.jobs,
+            "journal": (
+                str(self.journal.path) if self.journal is not None else None
+            ),
+        }
+
+    def publish_status(self, status: Dict[str, object]) -> None:
+        """Atomically write a status snapshot; degrade on any OSError."""
+        if self.status_file is None or not self.status_healthy:
+            return
+        try:
+            write_status(self.status_file, status)
+        except OSError as exc:
+            self.status_healthy = False
+            logger.warning(
+                "status snapshot write failed; disabling snapshots",
+                extra=fields(path=str(self.status_file), error=str(exc)),
+            )
+
+    def close(self, state: str) -> Tuple[int, int]:
+        """End open spans, journal and publish the final state; (ok, failed)."""
+        for index in list(self.cell_spans):
+            self._end_cell_span(index, status=state)
+        if self.sweep_span is not None:
+            self.sweep_span.end(status=state)
+        ok = self.done - self.failed
+        if self.journal is not None:
+            self.journal.record_end(state, ok, self.failed)
+        self.publish_status(self.status(state))
+        return ok, self.failed
+
+
 def run_sweep(
     specs: Sequence[RunSpec],
     jobs: int = 1,
@@ -452,15 +767,16 @@ def run_sweep(
 ) -> SweepReport:
     """Execute a sweep grid, optionally in parallel and through a cache.
 
-    Cache lookups happen up front in the parent; only misses are dispatched
-    to workers, and their results (plus run manifests) are written back to
-    the cache by the parent (one writer, no cross-process races on fresh
-    entries).  The ``progress`` hook fires once per cell — cache hits in
-    spec order first, then executed cells as they complete.
-    ``probe_factory``, when given, produces a per-reference probe for every
-    simulated cell and forces inline execution (probes cannot stream across
-    processes).  ``registry`` collects the sweep's metrics; a fresh one is
-    created when omitted and either way it rides on the returned report.
+    Cache lookups happen up front in the parent (:func:`plan_sweep`); only
+    misses are dispatched to workers, and their results (plus run
+    manifests) are written back to the cache by the parent (one writer, no
+    cross-process races on fresh entries).  The ``progress`` hook fires
+    once per cell — cache hits in spec order first, then executed cells as
+    they complete.  ``probe_factory``, when given, produces a
+    per-reference probe for every simulated cell and forces in-process
+    execution (probes cannot stream across processes).  ``registry``
+    collects the sweep's metrics; a fresh one is created when omitted and
+    either way it rides on the returned report.
 
     Resilience knobs:
 
@@ -523,11 +839,13 @@ def run_sweep(
             "probed sweeps run inline; cell timeouts are not enforced",
             extra=fields(cell_timeout=cell_timeout),
         )
-    needs_processes = not probed and (
-        cell_timeout is not None
-        or (faults is not None and faults.has_worker_kills)
-    )
-    use_executor = not probed and (jobs > 1 or needs_processes)
+    # A child process per attempt, unless a probe rules one out: for
+    # parallelism, for a killable timeout, or to survive a kill fault.
+    kills = faults is not None and faults.has_worker_kills
+    if not probed and (jobs > 1 or cell_timeout is not None or kills):
+        executor = CellExecutor(jobs=jobs, timeout=cell_timeout, faults=faults)
+    else:
+        executor = InlineExecutor(faults, telemetry, probe_factory)
 
     keys = [spec.cache_key() for spec in specs]
     base_keys = [spec.base_cache_key() for spec in specs]
@@ -580,540 +898,65 @@ def run_sweep(
             resume=resume, faults=faults is not None,
         ),
     )
-
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    pending: List[int] = []
-    #: leader index -> pending cells sharing its base_cache_key, which will
-    #: be served by re-pricing the leader's counters (Section 4.1: event
-    #: frequencies are independent of hardware costs)
-    followers: Dict[int, List[int]] = {}
-    done = 0
-    failed_cells = 0
-    sweep_started = time.perf_counter()
-    last_beat = sweep_started
-    executor: Optional[CellExecutor] = None
-    status_healthy = True
-    cell_spans: Dict[int, object] = {}
-    sweep_span = (
-        telemetry.begin(
-            f"sweep {sweep_id[:12]}", kind="sweep",
-            sweep_id=sweep_id, cells=len(specs), jobs=jobs,
-        )
-        if telemetry is not None
-        else None
+    sweep = _Sweep(
+        specs=specs, keys=keys, base_keys=base_keys, cell_ids=cell_ids,
+        jobs=jobs, executor=executor, cache=cache, progress=progress,
+        registry=registry, policy=policy, keep_going=keep_going,
+        max_failures=max_failures, faults=faults, journal=journal,
+        telemetry=telemetry, beat_every=beat_every, status_file=status_file,
+        sweep_id=sweep_id,
     )
 
-    def _publish_status(state: str) -> None:
-        """Atomically refresh the status snapshot; degrade on any OSError."""
-        nonlocal status_healthy
-        if status_file is None or not status_healthy:
-            return
-        finished = [o for o in outcomes if o is not None]
-        ok = sum(1 for o in finished if o.ok)
-        simulated_refs = sum(
-            o.result.references
-            for o in finished
-            if o.ok and not o.cached and not o.repriced
-        )
-        running = executor.in_flight if executor is not None else 0
-        elapsed = time.perf_counter() - sweep_started
-        cell_hist = registry.histogram("sweep.cell_seconds")
-        remaining = max(0, len(specs) - done)
-        eta = (
-            remaining * cell_hist.mean / max(1, jobs)
-            if state == "running" and cell_hist.count and remaining
-            else None
-        )
-        try:
-            write_status(
-                status_file,
-                {
-                    "state": state,
-                    "ts": time.time(),
-                    "pid": os.getpid(),
-                    "sweep_id": sweep_id,
-                    "cells": len(specs),
-                    "done": done,
-                    "ok": ok,
-                    "failed": len(finished) - ok,
-                    "running": running,
-                    "pending": max(0, len(specs) - done - running),
-                    "simulated": registry.counter("sweep.simulated").value,
-                    "cache_hits": registry.counter("sweep.cache_hits").value,
-                    "repriced": registry.counter("sweep.repriced").value,
-                    "retries": registry.counter("sweep.retries").value,
-                    "timeouts": registry.counter("sweep.timeouts").value,
-                    "references": sum(
-                        o.result.references for o in finished if o.ok
-                    ),
-                    "refs_per_sec": (
-                        simulated_refs / elapsed if elapsed > 0 else 0.0
-                    ),
-                    "eta_s": eta,
-                    "wall_s": elapsed,
-                    "jobs": jobs,
-                    "journal": str(journal.path) if journal is not None else None,
-                },
-            )
-        except OSError as exc:
-            status_healthy = False
-            logger.warning(
-                "status snapshot write failed; disabling snapshots",
-                extra=fields(path=str(status_file), error=str(exc)),
-            )
-
-    def _begin_cell_span(index: int):
-        """The cell's open span, created on first use (telemetry only)."""
-        span = cell_spans.get(index)
-        if span is None and telemetry is not None:
-            span = telemetry.begin(
-                cell_ids[index], kind="cell", parent=sweep_span, tid=index + 1,
-            )
-            cell_spans[index] = span
-        return span
-
-    def _end_cell_span(index: int, **attributes: object) -> None:
-        span = cell_spans.pop(index, None)
-        if span is not None:
-            span.end(**attributes)
-
-    def _span_context(index: int):
-        """What a worker needs to hang its spans under this cell's span."""
-        if telemetry is None:
-            return None
-        return (telemetry.trace_id, _begin_cell_span(index).span_id)
-
-    def _close_telemetry(state: str) -> None:
-        """End every open span (interrupt/failure leaves cells open)."""
-        if telemetry is None:
-            return
-        for index in list(cell_spans):
-            _end_cell_span(index, status=state)
-        if sweep_span is not None:
-            sweep_span.end(status=state)
-
-    def _heartbeat() -> None:
-        nonlocal last_beat
-        if beat_every <= 0:
-            return
-        now = time.perf_counter()
-        if now - last_beat >= beat_every:
-            last_beat = now
-            finished = [o for o in outcomes if o is not None]
-            logger.info(
-                "sweep progress",
-                extra=fields(
-                    done=done,
-                    total=len(specs),
-                    simulated=sum(
-                        1 for o in finished if o.ok and not o.cached
-                    ),
-                    failed=sum(1 for o in finished if not o.ok),
-                    references=sum(
-                        o.result.references for o in finished if o.ok
-                    ),
-                ),
-            )
-            _publish_status("running")
-
-    def _journal_cell(
-        index: int,
-        status: str,
-        cached: bool = False,
-        attempts: int = 1,
-        elapsed: float = 0.0,
-        error: Optional[RunError] = None,
-    ) -> None:
-        if journal is not None:
-            journal.record_cell(
-                keys[index], cell_ids[index], status,
-                cached=cached, attempts=attempts, elapsed=elapsed, error=error,
-            )
-
-    def _reprice(index: int, result: SimulationResult, worker: int) -> None:
-        """Serve a pending cell from a sibling's freshly simulated counters."""
-        nonlocal done
-        manifest = collect_manifest(
-            specs[index].as_dict(), keys[index], 0.0, worker_pid=worker
-        )
-        outcome = RunOutcome(
-            spec=specs[index],
-            result=result,
-            cached=False,
-            elapsed=0.0,
-            worker=worker,
-            manifest=manifest,
-            repriced=True,
-        )
-        outcomes[index] = outcome
-        done += 1
-        registry.counter("sweep.repriced").inc()
-        if telemetry is not None:
-            telemetry.event(
-                cell_ids[index], kind="reprice", parent=sweep_span,
-                tid=index + 1, worker=worker,
-            )
-        if cache is not None:
-            cache.put(keys[index], result, manifest=manifest)
-        _journal_cell(index, "ok")
-        if progress is not None:
-            progress(outcome)
-
-    def _complete(
-        index: int,
-        payload: Tuple[SimulationResult, float, int, RunManifest],
-        attempt: int = 1,
-    ) -> None:
-        nonlocal done
-        result, elapsed, worker, manifest = payload
-        outcome = RunOutcome(
-            spec=specs[index],
-            result=result,
-            cached=False,
-            elapsed=elapsed,
-            worker=worker,
-            manifest=manifest,
-        )
-        outcomes[index] = outcome
-        done += 1
-        registry.counter("sweep.simulated").inc()
-        registry.histogram("sweep.cell_seconds").observe(elapsed)
-        _end_cell_span(
-            index, status="ok", attempts=attempt, elapsed_s=elapsed,
-            worker=worker,
-        )
-        if cache is not None:
-            cache.put(keys[index], result, manifest=manifest)
-            if base_keys[index] != keys[index]:
-                # Also store under the characterization-free identity, so a
-                # future sweep with a brand-new characterization file can
-                # re-price this simulation instead of re-running it.
-                cache.put(base_keys[index], result, manifest=manifest)
-        _journal_cell(index, "ok", attempts=attempt, elapsed=elapsed)
-        logger.debug(
-            "cell simulated",
-            extra=fields(
-                protocol=specs[index].protocol,
-                trace=specs[index].trace,
-                elapsed_s=round(elapsed, 4),
-                worker=worker,
-                attempt=attempt,
-            ),
-        )
-        if progress is not None:
-            progress(outcome)
-        for follower in followers.get(index, ()):
-            _reprice(follower, result, worker)
-        _heartbeat()
-        if faults is not None and faults.should_interrupt(
-            cell_ids[index], attempt
-        ):
-            raise KeyboardInterrupt  # injected SIGINT (fault harness)
-
-    def _fail_one(index: int, error: RunError, elapsed: float) -> None:
-        nonlocal done, failed_cells
-        spec = specs[index]
-        manifest = collect_manifest(
-            spec.as_dict(), keys[index], elapsed,
-            worker_pid=error.worker, error=error.to_dict(),
-        )
-        outcome = RunOutcome(
-            spec=spec,
-            result=None,
-            cached=False,
-            elapsed=elapsed,
-            worker=error.worker,
-            manifest=manifest,
-            error=error,
-        )
-        outcomes[index] = outcome
-        done += 1
-        failed_cells += 1
-        registry.counter("sweep.failures").inc()
-        _end_cell_span(
-            index, status="failed", kind=error.kind, attempts=error.attempts,
-        )
-        _journal_cell(
-            index, "failed",
-            attempts=error.attempts, elapsed=elapsed, error=error,
-        )
-        logger.error(
-            "cell failed",
-            extra=fields(
-                cell=cell_ids[index], kind=error.kind,
-                error=f"{error.exc_type}: {error.message}",
-                attempts=error.attempts, worker=error.worker,
-            ),
-        )
-        if progress is not None:
-            progress(outcome)
-
-    def _fail(index: int, error: RunError) -> None:
-        _fail_one(index, error, error.elapsed)
-        # Cells waiting to be re-priced from this simulation fail with it.
-        for follower in followers.get(index, ()):
-            _fail_one(follower, error, 0.0)
-        _heartbeat()
-        if not keep_going:
-            raise CellFailure(cell_ids[index], error)
-        if max_failures is not None and failed_cells > max_failures:
-            raise CellFailure(
-                cell_ids[index], error,
-                reason=f"more than max_failures={max_failures} cells failed",
-            )
-
-    def _retry_or_fail(
-        index: int,
-        attempt: int,
-        kind: str,
-        exc_type: str,
-        message: str,
-        trace_back: Optional[str],
-        worker: int,
-        elapsed: float,
-    ) -> Optional[float]:
-        """Backoff seconds when a retry is granted; None after recording failure."""
-        if kind == "timeout":
-            registry.counter("sweep.timeouts").inc()
-        if telemetry is not None:
-            marker_parent = cell_spans.get(index) or sweep_span
-            if kind == "timeout":
-                telemetry.event(
-                    cell_ids[index], kind="timeout", parent=marker_parent,
-                    tid=index + 1, attempt=attempt, elapsed_s=elapsed,
-                )
-            if exc_type == "InjectedFault":
-                telemetry.event(
-                    cell_ids[index], kind="fault", parent=marker_parent,
-                    tid=index + 1, attempt=attempt,
-                )
-        if attempt < policy.max_attempts:
-            registry.counter("sweep.retries").inc()
-            delay = policy.delay(keys[index], attempt)
-            if telemetry is not None:
-                telemetry.event(
-                    cell_ids[index], kind="retry",
-                    parent=cell_spans.get(index) or sweep_span,
-                    tid=index + 1, attempt=attempt, backoff_s=delay,
-                    failure=kind,
-                )
-            logger.warning(
-                "cell attempt failed; retrying",
-                extra=fields(
-                    cell=cell_ids[index], kind=kind, attempt=attempt,
-                    max_attempts=policy.max_attempts,
-                    backoff_s=round(delay, 3),
-                    error=f"{exc_type}: {message}",
-                ),
-            )
-            return delay
-        _fail(
-            index,
-            RunError(
-                kind=kind, exc_type=exc_type, message=message,
-                attempts=attempt, worker=worker, elapsed=elapsed,
-                traceback=trace_back,
-            ),
-        )
-        return None
-
-    def _scan_cache() -> None:
-        nonlocal done
-        for index, spec in enumerate(specs):
-            cached_result = cache.get(keys[index]) if cache is not None else None
-            via_base = False
-            if (
-                cached_result is None
-                and cache is not None
-                and base_keys[index] != keys[index]
-            ):
-                # Re-pricing across sweeps: the exact pricing is cold, but
-                # the characterization-free simulation is warm — serve it
-                # (the counters are identical by construction) and write it
-                # back under the full key so next time is a direct hit.
-                cached_result = cache.get(base_keys[index])
-                via_base = cached_result is not None
-            if cached_result is not None:
-                if via_base:
-                    manifest = collect_manifest(
-                        spec.as_dict(), keys[index], 0.0
-                    )
-                    cache.put(keys[index], cached_result, manifest=manifest)
-                    registry.counter("sweep.repriced").inc()
-                else:
-                    manifest = cache.get_manifest(keys[index])
-                outcome = RunOutcome(
-                    spec=spec,
-                    result=cached_result,
-                    cached=True,
-                    elapsed=0.0,
-                    worker=os.getpid(),
-                    manifest=manifest,
-                    repriced=via_base,
-                )
-                outcomes[index] = outcome
-                done += 1
-                registry.counter("sweep.cache_hits").inc()
-                if telemetry is not None:
-                    telemetry.event(
-                        cell_ids[index], kind="cache_hit", parent=sweep_span,
-                        tid=index + 1, via_base=via_base,
-                    )
-                _journal_cell(index, "ok", cached=True)
-                if progress is not None:
-                    progress(outcome)
-                _heartbeat()
-            else:
-                if resume and keys[index] in journaled_ok:
-                    logger.warning(
-                        "journaled success missing from cache; re-simulating",
-                        extra=fields(cell=cell_ids[index]),
-                    )
-                pending.append(index)
-
-    def _group_repricing() -> None:
-        """Collapse pending cells sharing a simulation onto one leader.
-
-        Cells whose specs differ only in ``characterization`` share a
-        :meth:`~repro.runner.spec.RunSpec.base_cache_key` and, by the
-        paper's Section 4.1 argument, identical counters — so only the
-        first (the leader) simulates and the rest are re-priced from its
-        result.  Probed sweeps skip this: a probe streams the cell's own
-        per-reference events, so every cell must actually run.
-        """
-        if probed:
-            return
-        leaders: Dict[str, int] = {}
-        kept: List[int] = []
-        for index in pending:
-            leader = leaders.get(base_keys[index])
-            if leader is None:
-                leaders[base_keys[index]] = index
-                kept.append(index)
-            else:
-                followers.setdefault(leader, []).append(index)
-        if followers:
-            pending[:] = kept
-            logger.info(
-                "re-pricing collapsed sweep cells",
-                extra=fields(
-                    simulate=len(kept),
-                    repriced=sum(len(cells) for cells in followers.values()),
-                ),
-            )
-
-    def _run_inline() -> None:
-        for index in pending:
-            attempt = 1
-            cell_span = _begin_cell_span(index)
-            while True:
-                probe = probe_factory(specs[index]) if probed else None
-                attempt_span = (
-                    telemetry.begin(
-                        f"attempt {attempt}", kind="attempt", parent=cell_span,
-                        tid=index + 1, attempt=attempt, cell=cell_ids[index],
-                    )
-                    if telemetry is not None
-                    else None
-                )
-                start = time.perf_counter()
-                try:
-                    if faults is not None:
-                        faults.fire_worker_faults(
-                            cell_ids[index], attempt, allow_kill=False
-                        )
-                    result = specs[index].run(probe=probe)
-                except KeyboardInterrupt:
-                    if attempt_span is not None:
-                        attempt_span.end(status="interrupted")
-                    raise
-                except Exception as exc:
-                    elapsed = time.perf_counter() - start
-                    if attempt_span is not None:
-                        attempt_span.end(
-                            status="error", error=type(exc).__name__
-                        )
-                    delay = _retry_or_fail(
-                        index, attempt, "exception", type(exc).__name__,
-                        str(exc), traceback_module.format_exc(),
-                        os.getpid(), elapsed,
-                    )
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                elapsed = time.perf_counter() - start
-                if attempt_span is not None:
-                    attempt_span.end(status="ok")
-                manifest = collect_manifest(
-                    specs[index].as_dict(), keys[index], elapsed
-                )
-                _complete(
-                    index, (result, elapsed, os.getpid(), manifest), attempt
-                )
-                break
-
-    def _run_executor() -> None:
-        nonlocal executor
-        pool_size = max(1, min(jobs, len(pending)))
-        executor = CellExecutor(
-            jobs=pool_size, timeout=cell_timeout, faults=faults
-        )
-        for index in pending:
-            executor.submit(
-                index, specs[index], attempt=1,
-                span_context=_span_context(index),
-            )
-        while executor.active:
-            for event in executor.poll():
-                # Worker-side telemetry rides on every event, success or
-                # failure — a retried attempt's metrics/spans still count.
-                if event.metrics:
-                    registry.merge_snapshot(event.metrics)
-                if telemetry is not None and event.spans:
-                    telemetry.ingest(event.spans)
-                if event.ok:
-                    _complete(event.index, event.payload, event.attempt)
-                else:
-                    delay = _retry_or_fail(
-                        event.index, event.attempt, event.kind,
-                        event.exc_type, event.message, event.traceback,
-                        event.worker, event.elapsed,
-                    )
-                    if delay is not None:
-                        executor.submit(
-                            event.index, specs[event.index],
-                            event.attempt + 1, delay,
-                            span_context=_span_context(event.index),
-                        )
-            _heartbeat()
-
-    def _finished_counts() -> Tuple[int, int]:
-        finished = [o for o in outcomes if o is not None]
-        ok = sum(1 for o in finished if o.ok)
-        return ok, len(finished) - ok
-
     try:
-        _publish_status("running")
+        sweep.publish_status(sweep.status("running"))
         with wall.time():
-            _scan_cache()
-            _group_repricing()
-            if pending:
-                if use_executor:
-                    _run_executor()
-                else:
-                    _run_inline()
+            plan = plan_sweep(
+                keys, base_keys, cache.get if cache is not None else None,
+                group=not probed,
+            )
+            for index, result, via_base in plan.hits:
+                sweep.serve_hit(index, result, via_base)
+                sweep.heartbeat()
+            if resume:
+                served = {index for index, _, _ in plan.hits}
+                for index, key in enumerate(keys):
+                    if index not in served and key in journaled_ok:
+                        logger.warning(
+                            "journaled success missing from cache; "
+                            "re-simulating",
+                            extra=fields(cell=cell_ids[index]),
+                        )
+            if plan.followers:
+                logger.info(
+                    "re-pricing collapsed sweep cells",
+                    extra=fields(
+                        simulate=len(plan.leaders),
+                        repriced=sum(map(len, plan.followers.values())),
+                    ),
+                )
+            sweep.followers = plan.followers
+            for index in plan.leaders:
+                executor.submit(
+                    index, specs[index], span_context=sweep.span_context(index)
+                )
+            while executor.active:
+                for event in executor.poll():
+                    # Worker-side telemetry rides on every event, success or
+                    # failure — a retried attempt's metrics/spans still count.
+                    if event.metrics:
+                        registry.merge_snapshot(event.metrics)
+                    if telemetry is not None and event.spans:
+                        telemetry.ingest(event.spans)
+                    if event.ok:
+                        sweep.complete(event)
+                    else:
+                        sweep.retry_or_fail(event)
+                sweep.heartbeat()
     except KeyboardInterrupt:
-        if executor is not None:
-            executor.abort()
-        _close_telemetry("interrupted")
-        ok, failed = _finished_counts()
-        if journal is not None:
-            journal.record_end("interrupted", ok, failed)
-        _publish_status("interrupted")
+        executor.abort()
+        ok, failed = sweep.close("interrupted")
         partial = SweepReport(
-            outcomes=tuple(o for o in outcomes if o is not None),
+            outcomes=tuple(o for o in sweep.outcomes if o is not None),
             wall_time=wall.total_seconds - wall_before,
             jobs=jobs,
             registry=registry,
@@ -1124,29 +967,18 @@ def run_sweep(
         )
         raise SweepInterrupted(partial, len(specs)) from None
     except CellFailure:
-        if executor is not None:
-            executor.abort()
-        _close_telemetry("failed")
-        ok, failed = _finished_counts()
-        if journal is not None:
-            journal.record_end("failed", ok, failed)
-        _publish_status("failed")
+        executor.abort()
+        sweep.close("failed")
         raise
 
-    wall_time = wall.total_seconds - wall_before
-    _close_telemetry("finished")
     report = SweepReport(
-        outcomes=tuple(outcomes),
-        wall_time=wall_time,
+        outcomes=tuple(sweep.outcomes),
+        wall_time=wall.total_seconds - wall_before,
         jobs=jobs,
         registry=registry,
     )
-    if journal is not None:
-        journal.record_end(
-            "finished", len(report.successes), len(report.failures)
-        )
     registry.gauge("sweep.refs_per_sec").set(report.refs_per_sec)
-    _publish_status("finished")
+    sweep.close("finished")
     logger.info(
         "sweep finished",
         extra=fields(
@@ -1154,7 +986,7 @@ def run_sweep(
             simulated=report.simulations,
             cache_hits=report.cache_hits,
             failures=len(report.failures),
-            wall_s=round(wall_time, 3),
+            wall_s=round(report.wall_time, 3),
             refs_per_sec=round(report.refs_per_sec),
         ),
     )

@@ -15,7 +15,7 @@ Submission pipeline, in order::
     token bucket         -> RateLimited       (HTTP 429 + Retry-After)
     schema validation    -> RequestError      (HTTP 422)
     coalesce: same sweep_key already queued/running -> that job, no new work
-    dedupe: every cell already in the ResultCache   -> run inline, zero sims
+    dedupe: the sweep plan simulates nothing        -> run inline, zero sims
     bounded queue        -> QueueFull         (HTTP 503)
 
 Durability: every transition a job makes (submitted, queued, running —
@@ -30,19 +30,21 @@ sweep journal and the shared :class:`~repro.runner.cache.ResultCache`,
 so every cell the dead server already finished is served as a cache hit —
 zero duplicate simulations, bit-identical counters.
 
-The dedupe step is the service's core economy: a grid whose every cell
-(full key, or re-priceable base key) is already on disk never touches the
-worker queue — it replays through ``run_sweep`` inline against the
+The dedupe step is the service's core economy: a grid whose
+:func:`~repro.runner.plan.plan_sweep` has nothing to simulate (every
+cell's entry, full key or re-priceable base key, decodes) never touches
+the worker queue — it replays through ``run_sweep`` inline against the
 service's shared cache and registry, so the ``cache.hit`` counters land
 in ``GET /metrics`` and the submitter gets a finished job in one round
-trip.  Everything else runs in a child process: ``run_sweep`` writes the
-job's own status snapshot/journal/spans under ``jobs/<id>/`` (the PR 7
-telemetry substrate, unchanged), the child ships its metrics snapshot
-back over a pipe, and the parent folds it into the service registry via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — one scrape
-endpoint sees every sweep, however it executed.  A child process also
-makes cancellation honest: ``terminate()`` actually stops a sweep
-mid-flight, which no amount of thread flagging can.
+trip.  Everything else runs in a child process.  Both paths run the same
+job runner: ``run_sweep`` writes the job's own status snapshot, journal,
+spans and result under ``jobs/<id>/``, and a failure of either path is
+counted and published the same way.  The child ships its metrics
+snapshot back over a pipe, and the parent folds it into the service
+registry via :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` —
+one scrape endpoint sees every sweep, however it executed.  A child
+process also makes cancellation honest: ``terminate()`` actually stops a
+sweep mid-flight, which no amount of thread flagging can.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from ..obs.telemetry import SpanRecorder, read_status, write_status
 from ..resilience.faults import FaultPlan
 from ..resilience.journal import SweepJournal
 from ..runner.cache import ResultCache
+from ..runner.plan import plan_sweep
 from ..runner.sweep import run_sweep
 from .journal import SERVICE_JOURNAL_NAME, ServiceJournal, pid_start_time
 from .schema import (
@@ -244,29 +247,18 @@ class Job:
         return payload
 
 
-def _job_process_main(
-    conn,
-    specs,
-    options,
-    cache_dir: str,
-    job_dir: str,
-) -> None:
-    """Child-process entry: run one sweep with the full telemetry substrate.
+def _sweep_job(
+    specs, options, cache: ResultCache, registry: MetricsRegistry, job_dir: Path
+) -> Optional[str]:
+    """Run one job's sweep; write ``result.json`` + ``spans.json`` atomically.
 
-    Builds a fresh registry/cache/journal/recorder (fork inherits the
-    parent's — sharing them across the process boundary would double
-    count), runs the sweep with its status snapshot and journal under the
-    job directory, writes ``result.json`` + ``spans.json`` atomically, and
-    ships ``{"ok", "metrics", "error"?}`` back over the pipe so the parent
-    can fold this sweep into the service-wide registry.
+    The one job runner, for queued jobs (in their child process) and
+    deduped ones (in the submitting thread): the sweep's status snapshot
+    and journal land under ``job_dir`` and the request's options all
+    apply.  Returns None on success, else the one-line error the job
+    fails with (never a traceback dump).
     """
-    job_path = Path(job_dir)
-    registry = MetricsRegistry()
-    set_registry(registry)
-    cache = ResultCache(Path(cache_dir), registry=registry)
-    journal = SweepJournal(job_path / "journal.jsonl")
     recorder = SpanRecorder()
-    outcome: dict = {"ok": False, "metrics": {}}
     try:
         report = run_sweep(
             specs,
@@ -276,21 +268,34 @@ def _job_process_main(
             retry=options.retries,
             cell_timeout=options.cell_timeout,
             keep_going=options.keep_going,
-            journal=journal,
+            journal=SweepJournal(job_dir / "journal.jsonl"),
             telemetry=recorder,
-            status_path=job_path / "status.json",
+            status_path=job_dir / "status.json",
         )
-        payload = report_payload(report)
-        tmp = job_path / "result.json.tmp"
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, job_path / "result.json")
-        recorder.write_chrome_trace(job_path / "spans.json")
-        outcome["ok"] = True
-    except Exception as error:  # ships the failure, never a traceback dump
-        outcome["error"] = f"{type(error).__name__}: {error}"
-    outcome["metrics"] = registry.as_dict()
+        tmp = job_dir / "result.json.tmp"
+        tmp.write_text(
+            json.dumps(report_payload(report), indent=2, sort_keys=True)
+        )
+        os.replace(tmp, job_dir / "result.json")
+        recorder.write_chrome_trace(job_dir / "spans.json")
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return None
+
+
+def _job_process_main(conn, specs, options, cache_dir: str, job_dir: str) -> None:
+    """Child-process entry: run the job, ship ``{"error", "metrics"}`` back.
+
+    Builds a fresh registry and cache (fork inherits the parent's — sharing
+    them across the process boundary would double count), so the parent
+    can fold this sweep into the service-wide registry.
+    """
+    registry = MetricsRegistry()
+    set_registry(registry)
+    cache = ResultCache(Path(cache_dir), registry=registry)
+    error = _sweep_job(specs, options, cache, registry, Path(job_dir))
     try:
-        conn.send(outcome)
+        conn.send({"error": error, "metrics": registry.as_dict()})
     finally:
         conn.close()
 
@@ -461,10 +466,17 @@ class JobManager:
             submitted_at=job.submitted_at,
         )
 
-        if self._fully_cached(request):
+        plan = plan_sweep(
+            request.cache_keys(),
+            [spec.base_cache_key() for spec in request.specs],
+            self.cache.peek,
+        )
+        if not plan.leaders:
             # Zero simulations ahead: replay inline through the shared cache
             # so the hits count in the service registry and the caller gets
-            # a terminal job immediately, bypassing the queue entirely.
+            # a terminal job immediately, bypassing the queue entirely.  The
+            # plan reads each entry uncounted, so a corrupt one is a miss
+            # here and the job queues instead of simulating in this thread.
             job.deduped = True
             self.registry.counter("service.jobs_deduped").inc()
             self._register(job)
@@ -518,60 +530,37 @@ class JobManager:
                 self._buckets[client] = bucket
             return bucket
 
-    def _fully_cached(self, request: SweepRequest) -> bool:
-        """True when no cell of this grid would simulate anything.
-
-        A cell is covered by its full cache key, or — the PR 6 re-pricing
-        path — by its base key (same configuration under any
-        characterization), which ``run_sweep`` re-prices without
-        simulating.
-        """
-        for spec in request.specs:
-            if self.cache.path_for(spec.cache_key()).exists():
-                continue
-            base = spec.base_cache_key()
-            if base != spec.cache_key() and self.cache.path_for(base).exists():
-                continue
-            return False
-        return True
-
     def _run_inline(self, job: Job) -> None:
-        """Serve a fully-cached job in the submitting thread."""
+        """Serve a job the cache fully covers in the submitting thread."""
         with job.lock:
             job.state = JobState.RUNNING
             job.started_at = time.time()
         self.journal.record(job.job_id, "running", started_at=job.started_at)
-        try:
-            report = run_sweep(
-                list(job.request.specs),
-                jobs=1,
-                cache=self.cache,
-                registry=self.registry,
-                keep_going=job.request.options.keep_going,
-                journal=SweepJournal(job.journal_path),
-                status_path=job.status_path,
-            )
-            payload = report_payload(report)
-            tmp = job.directory / "result.json.tmp"
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            os.replace(tmp, job.result_path)
-            with job.lock:
-                job.state = JobState.FINISHED
-                job.finished_at = time.time()
+        self._finish(
+            job,
+            _sweep_job(
+                list(job.request.specs), job.request.options, self.cache,
+                self.registry, job.directory,
+            ),
+        )
+
+    def _finish(self, job: Job, error: Optional[str]) -> None:
+        """Publish a run job's terminal state: FINISHED, or FAILED with error."""
+        with job.lock:
+            job.process = None
+            job.finished_at = time.time()
+            job.state = JobState.FINISHED if error is None else JobState.FAILED
+            job.error = error
+        if error is None:
             self.journal.record(
                 job.job_id, "finished", finished_at=job.finished_at
             )
-        except Exception as error:
-            with job.lock:
-                job.state = JobState.FAILED
-                job.error = f"{type(error).__name__}: {error}"
-                job.finished_at = time.time()
-            self.journal.record(
-                job.job_id,
-                "failed",
-                error=job.error,
-                finished_at=job.finished_at,
-            )
+            return
+        self.registry.counter("service.jobs_failed").inc()
+        write_status(job.status_path, {"state": JobState.FAILED, "error": error})
+        self.journal.record(
+            job.job_id, "failed", error=error, finished_at=job.finished_at
+        )
 
     # -- worker side -----------------------------------------------------------
 
@@ -649,15 +638,8 @@ class JobManager:
                     job.job_id, "cancelled", finished_at=job.finished_at
                 )
                 return
-            if parent_conn.poll(timeout=0.1):
-                try:
-                    outcome = parent_conn.recv()
-                except EOFError:
-                    outcome = None
-                break
-            if not process.is_alive():
-                # One last poll: the child may have sent and exited between
-                # our checks.
+            if parent_conn.poll(timeout=0.1) or not process.is_alive():
+                # Poll again: a dead child may have sent just before exiting.
                 if parent_conn.poll(timeout=0.1):
                     try:
                         outcome = parent_conn.recv()
@@ -672,35 +654,12 @@ class JobManager:
         # /metrics must see this sweep's counters.
         if outcome is not None and outcome.get("metrics"):
             self.registry.merge_snapshot(outcome["metrics"])
-        with job.lock:
-            job.process = None
-            job.finished_at = time.time()
-            if outcome is None:
-                job.state = JobState.FAILED
-                job.error = (
-                    f"sweep process died (exit code {process.exitcode})"
-                )
-            elif outcome.get("ok"):
-                job.state = JobState.FINISHED
-            else:
-                job.state = JobState.FAILED
-                job.error = outcome.get("error", "sweep failed")
-        if job.state == JobState.FAILED:
-            self.registry.counter("service.jobs_failed").inc()
-            write_status(
-                job.status_path,
-                {"state": JobState.FAILED, "error": job.error},
-            )
-            self.journal.record(
-                job.job_id,
-                "failed",
-                error=job.error,
-                finished_at=job.finished_at,
-            )
-        else:
-            self.journal.record(
-                job.job_id, "finished", finished_at=job.finished_at
-            )
+        self._finish(
+            job,
+            f"sweep process died (exit code {process.exitcode})"
+            if outcome is None
+            else outcome.get("error"),
+        )
 
     # -- crash recovery --------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.analysis.tables import table4, table5
 from repro.core.comparison import run_standard_comparison
 from repro.protocols.registry import PAPER_CORE_SCHEMES
 from repro.runner import ResultCache, RunSpec, run_sweep, sweep_grid
+from repro.runner.plan import plan_sweep
 from repro.trace.stream import SharingModel
 
 #: Tiny traces so the whole module stays fast.
@@ -213,6 +214,18 @@ class TestResultCache:
         cache.path_for("bogus").write_bytes(pickle.dumps({"not": "a result"}))
         assert cache.get("bogus") is None
 
+    def test_peek_counts_nothing_and_removes_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = RunSpec(protocol="dir0b", trace="POPS", scale=SCALE)
+        key = spec.cache_key()
+        assert cache.peek(key) is None
+        cache.put(key, spec.run())
+        assert cache.peek(key) is not None
+        cache.path_for("broken").write_bytes(b"not a pickle")
+        assert cache.peek("broken") is None
+        assert cache.path_for("broken").exists()
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 0)
+
     def test_clear_removes_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = RunSpec(protocol="dir0b", trace="POPS", scale=SCALE)
@@ -324,6 +337,58 @@ class TestRunSweep:
         report = run_sweep(specs)
         with pytest.raises(ValueError, match="full cross product"):
             report.comparison()
+
+
+class TestPlanSweep:
+    """The planner is the one home of the full-key/base-key rule."""
+
+    def test_hits_come_in_spec_order_and_misses_lead(self):
+        keys = ["k0", "k1", "k2", "k3"]
+        store = {"k2": "r2", "k0": "r0"}
+        plan = plan_sweep(keys, keys, store.get)
+        assert plan.hits == ((0, "r0", False), (2, "r2", False))
+        assert plan.leaders == (1, 3)
+        assert plan.followers == {}
+
+    def test_base_key_serves_a_cold_pricing(self):
+        plan = plan_sweep(["a-pipe", "a-nonp"], ["a", "a"], {"a": "r"}.get)
+        assert plan.hits == ((0, "r", True), (1, "r", True))
+        assert plan.leaders == ()
+
+    def test_full_key_wins_over_base_key(self):
+        store = {"a-pipe": "exact", "a": "shared"}
+        plan = plan_sweep(["a-pipe", "a-nonp"], ["a", "a"], store.get)
+        assert plan.hits == ((0, "exact", False), (1, "shared", True))
+
+    def test_no_lookup_means_every_cell_misses(self):
+        plan = plan_sweep(["a", "b"], ["a", "b"])
+        assert plan.hits == () and plan.leaders == (0, 1)
+
+    def test_misses_sharing_a_base_key_follow_the_first(self):
+        keys = ["a1", "b1", "a2", "b2", "a3"]
+        bases = ["A", "B", "A", "B", "A"]
+        plan = plan_sweep(keys, bases, {"b1": "r"}.get)
+        assert plan.hits == ((1, "r", False),)
+        assert plan.leaders == (0, 3)
+        assert plan.followers == {0: (2, 4)}
+
+    def test_probed_plans_do_not_group(self):
+        keys = ["a1", "a2", "a3"]
+        plan = plan_sweep(keys, ["A", "A", "A"], group=False)
+        assert plan.leaders == (0, 1, 2)
+        assert plan.followers == {}
+
+    def test_characterizations_of_one_configuration_share_a_leader(self):
+        specs = sweep_grid(
+            ("dir4b",), traces=("POPS",), scale=SCALE,
+            characterizations=("pipelined", "non_pipelined"),
+        )
+        plan = plan_sweep(
+            [spec.cache_key() for spec in specs],
+            [spec.base_cache_key() for spec in specs],
+        )
+        assert plan.leaders == (0,)
+        assert plan.followers == {0: (1,)}
 
 
 class TestStandardComparisonViaRunner:

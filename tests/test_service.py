@@ -13,6 +13,7 @@ The heavy contracts from the issue live here:
 - drain stops admission and waits work out.
 """
 
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from repro.service import (
     parse_request,
     start_background,
 )
+from repro.service import jobs as jobs_module
 from repro.service.jobs import JobState, QueueFull, RateLimited, TokenBucket
 from repro.service.schema import REQUEST_SCHEMA_VERSION
 
@@ -430,4 +432,62 @@ class TestManagerUnits:
             assert snapshot["state"] in (JobState.QUEUED, JobState.RUNNING)
         finally:
             gate.set()
+            manager.shutdown(cancel_running=True)
+
+
+def _wait_terminal(job, timeout=180.0):
+    deadline = time.monotonic() + timeout
+    while job.state not in JobState.TERMINAL:
+        assert time.monotonic() < deadline, job.snapshot()
+        time.sleep(0.02)
+    return job
+
+
+class TestDedupeDecision:
+    def test_corrupt_entry_queues_the_job_instead_of_simulating_inline(
+        self, tmp_path
+    ):
+        """Only a plan with nothing to simulate replays in the submitting
+        thread; a corrupt entry is a miss, so the job queues and its child
+        process re-simulates the cell."""
+        manager = JobManager(tmp_path / "svc")
+        try:
+            first = _wait_terminal(manager.submit(doc("dir0b")))
+            assert first.state == JobState.FINISHED
+            key = first.request.specs[0].cache_key()
+            manager.cache.path_for(key).write_bytes(b"not a pickle")
+
+            second = manager.submit(doc("dir0b"))
+            assert second.deduped is False
+            assert manager.registry.counter("service.jobs_deduped").value == 0
+            assert manager.registry.counter("service.jobs_submitted").value == 2
+            assert _wait_terminal(second).state == JobState.FINISHED
+            result = json.loads(second.result_path.read_text())
+            assert result["simulated"] == 1 and result["cache_hits"] == 0
+            assert manager.registry.counter("sweep.simulated").value == 2
+            assert manager.registry.counter("cache.corrupt").value == 1
+        finally:
+            manager.shutdown(cancel_running=True)
+
+    def test_failed_inline_replay_is_counted_and_published(
+        self, tmp_path, monkeypatch
+    ):
+        manager = JobManager(tmp_path / "svc")
+        try:
+            _wait_terminal(manager.submit(doc("dir0b")))
+
+            def unwritable(report):
+                raise OSError("No space left on device")
+
+            monkeypatch.setattr(jobs_module, "report_payload", unwritable)
+            job = manager.submit(doc("dir0b"))
+            assert job.deduped is True
+            assert job.state == JobState.FAILED
+            assert "No space left" in job.error
+            assert manager.registry.counter("service.jobs_failed").value == 1
+            status = json.loads(job.status_path.read_text())
+            assert status["state"] == JobState.FAILED
+            assert status["error"] == job.error
+            assert manager.journal.load()[job.job_id]["state"] == "failed"
+        finally:
             manager.shutdown(cancel_running=True)

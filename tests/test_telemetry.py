@@ -8,6 +8,7 @@ protocol.
 """
 
 import importlib.util
+import logging
 import os
 import threading
 import time
@@ -410,6 +411,78 @@ class TestSweepTelemetry:
             status_path=tmp_path / "no-such-dir" / "s.status.json",
         )
         assert len(report.failures) == 0
+
+
+def _cell_subtrees(recorder):
+    """Cell name -> the (kind, name) set of every span below that cell."""
+    children = {}
+    for span in recorder.spans:
+        children.setdefault(span.parent_id, []).append(span)
+    trees = {}
+    for cell in (s for s in recorder.spans if s.kind == "cell"):
+        found, stack = set(), list(children.get(cell.span_id, ()))
+        while stack:
+            span = stack.pop()
+            found.add((span.kind, span.name))
+            stack.extend(children.get(span.span_id, ()))
+        trees[cell.name] = found
+    return trees
+
+
+class TestSpanParity:
+    def test_in_process_and_child_attempts_record_the_same_tree(self):
+        """Serial sweeps run attempts in-process, parallel ones in child
+        processes; both go through one attempt path, so every cell
+        carries the same attempt -> simulate/report subtree."""
+        specs = _specs(("dir0b", "dir1b"))
+        inline, child = SpanRecorder(), SpanRecorder()
+        run_sweep(specs, jobs=1, telemetry=inline)
+        run_sweep(specs, jobs=2, telemetry=child)
+        expected = {
+            ("attempt", "attempt 1"),
+            ("stage", "simulate"),
+            ("stage", "report"),
+        }
+        trees = _cell_subtrees(inline)
+        assert trees == _cell_subtrees(child)
+        assert len(trees) == 2
+        assert all(tree == expected for tree in trees.values())
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestHeartbeatLine:
+    def test_repriced_cells_are_not_counted_as_simulated(self):
+        specs = [
+            RunSpec(
+                protocol="dir4b", trace="POPS", scale=SCALE, seed=11,
+                characterization=c,
+            )
+            for c in ("pipelined", "non-pipelined")
+        ]
+        logger = logging.getLogger("repro.runner.sweep")
+        handler, level = _Records(), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            report = run_sweep(specs, heartbeat_seconds=1e-9)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert report.simulations == 1 and report.repricings == 1
+        beats = [
+            r.fields for r in handler.records if r.getMessage() == "sweep progress"
+        ]
+        assert beats
+        assert beats[-1]["done"] == 2
+        assert beats[-1]["simulated"] == 1
 
 
 class TestHeartbeatConfig:
