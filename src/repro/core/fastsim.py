@@ -586,4 +586,5 @@ class FastPipeline:
             block_size=self.block_size,
             sharing_model=self.sharing_model,
             geometry=geometry.spec if geometry is not None else None,
+            engine="table",
         )

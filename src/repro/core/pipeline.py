@@ -29,7 +29,7 @@ fourth copy of the loop.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # probes are observers; the core never imports obs at runtime
@@ -60,7 +60,10 @@ class SimulationResult:
 
     ``geometry`` is the cache-geometry spec the run used (``"64x4"`` style,
     see :meth:`~repro.memory.cache.CacheGeometry.spec`), or ``None`` for
-    the paper's infinite caches.
+    the paper's infinite caches.  ``engine`` names the loop that counted:
+    ``"reference"`` (per-reference protocol calls) or ``"table"`` (the fast
+    backend's compiled kernel).  It is provenance only and takes no part
+    in equality, since both engines count identically.
     """
 
     protocol_name: str
@@ -71,6 +74,7 @@ class SimulationResult:
     block_size: int
     sharing_model: SharingModel
     geometry: Optional[str] = None
+    engine: str = field(default="reference", compare=False)
 
     @property
     def references(self) -> int:

@@ -4,9 +4,10 @@ A :class:`RunManifest` records everything needed to reconstruct *how* a
 result was produced — the fully resolved spec (including, via
 ``RunSpec.as_dict()``, the hardware characterization and its content hash
 when the pricing axis is set), the package and cache-schema versions, the
-cache key the result is stored under, and the execution environment
-(hostname, platform, worker pid, wall time, peak RSS).  The
-sweep runner attaches one to every executed cell
+cache key the result is stored under, the engine that counted it (the
+fast backend's ``table`` kernel or the ``reference`` loop), and the
+execution environment (hostname, platform, worker pid, wall time, peak
+RSS).  The sweep runner attaches one to every executed cell
 (:attr:`~repro.runner.sweep.RunOutcome.manifest`), and the result cache
 serialises it as ``<key>.manifest.json`` next to the pickled result, so a
 cached number found on disk months later can still answer "which code,
@@ -72,6 +73,9 @@ class RunManifest:
     #: structured failure record (RunError.to_dict()) when the cell failed;
     #: None for the normal, successful case
     error: Optional[Mapping[str, Any]] = None
+    #: the loop that counted the result: "table" (the fast backend's
+    #: compiled kernel) or "reference"; None when nothing was counted
+    engine: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         payload = asdict(self)
@@ -104,6 +108,7 @@ def collect_manifest(
     wall_time_s: float,
     worker_pid: int = 0,
     error: Optional[Mapping[str, Any]] = None,
+    engine: Optional[str] = None,
 ) -> RunManifest:
     """A manifest for a cell just executed (or failed) in this process."""
     import os
@@ -115,4 +120,5 @@ def collect_manifest(
         worker_pid=worker_pid or os.getpid(),
         peak_rss_kb=peak_rss_kb(),
         error=dict(error) if error is not None else None,
+        engine=engine,
     )

@@ -31,7 +31,12 @@ the retry.
 Both executors run the same :func:`run_attempt`: the child worker wraps
 it in a fresh registry and a pipe, and :class:`InlineExecutor` calls it
 in the sweep's own process behind the same ``submit``/``poll``/
-``active``/``abort`` surface.  Either way the sweep loop sees
+``active``/``abort`` surface.  A submit may carry the cell's ``trace``,
+a callable the executor calls when the attempt starts: the sweep's
+shared trace store builds a trace there, once per group of cells.
+:class:`InlineExecutor` hands the object to the attempt, and
+:class:`CellExecutor` passes it as a ``Process`` argument, so a forked
+child inherits it with no copy and no pickle.  Either way the sweep loop sees
 :class:`CellEvent`s and turns failures into
 :class:`~repro.resilience.errors.RunError`s (which know the attempt
 budget) and results into :class:`~repro.runner.sweep.RunOutcome`s.
@@ -76,6 +81,7 @@ def run_attempt(
     tid: int = 0,
     probe=None,
     isolated: bool = False,
+    trace=None,
 ) -> dict:
     """Run one cell attempt: fire injected faults, simulate, collect provenance.
 
@@ -84,6 +90,7 @@ def run_attempt(
     :class:`InlineExecutor` (kill faults are skipped and interrupts
     propagate to the sweep).  With a ``recorder`` the attempt records its
     ``attempt → simulate/report`` spans under the ``parent`` span id.
+    ``trace``, when given, is the cell's already generated trace.
     Returns the :class:`CellEvent` fields that describe the outcome.
     """
     pid = os.getpid()
@@ -99,11 +106,15 @@ def run_attempt(
         if faults is not None:
             faults.fire_worker_faults(spec.cell_id(), attempt, allow_kill=isolated)
         with _stage(recorder, "simulate", attempt_span, tid):
-            result = spec.run(probe=probe)
+            if trace is None:  # a spec type whose run() takes no trace still runs
+                result = spec.run(probe=probe)
+            else:
+                result = spec.run(probe=probe, trace=trace)
         elapsed = time.perf_counter() - start
         with _stage(recorder, "report", attempt_span, tid):
             manifest = collect_manifest(
-                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
+                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid,
+                engine=result.engine,
             )
     except BaseException as exc:  # noqa: BLE001 - everything becomes a message
         elapsed = time.perf_counter() - start
@@ -125,7 +136,7 @@ def run_attempt(
 
 
 def _cell_worker(
-    conn: Connection, spec, attempt: int, faults, span_context=None
+    conn: Connection, spec, attempt: int, faults, span_context=None, trace=None
 ) -> None:
     """Child entry point: run the attempt, report it on the pipe.
 
@@ -142,7 +153,7 @@ def _cell_worker(
         recorder = SpanRecorder(trace_id=trace_id)
     try:
         outcome = run_attempt(
-            spec, attempt, faults, recorder, parent, isolated=True
+            spec, attempt, faults, recorder, parent, isolated=True, trace=trace
         )
         delta = registry.as_dict()
         conn.send((
@@ -207,7 +218,7 @@ class CellExecutor:
         self._faults = faults
         self._ctx = multiprocessing.get_context()
         self._running: Dict[int, _Task] = {}
-        self._queue: List[Tuple[float, int, int, object, int]] = []
+        self._queue: List[Tuple] = []
         self._seq = 0
 
     # -- dispatch -------------------------------------------------------------
@@ -219,18 +230,20 @@ class CellExecutor:
         attempt: int = 1,
         delay: float = 0.0,
         span_context=None,
+        trace=None,
     ) -> None:
         """Queue one cell attempt, optionally delayed (retry backoff).
 
         ``span_context`` — a ``(trace_id, parent_span_id)`` pair — makes
         the worker record its attempt/stage spans under the parent's cell
-        span (see :mod:`repro.obs.telemetry`).
+        span (see :mod:`repro.obs.telemetry`).  ``trace`` is called when
+        the attempt starts and its result handed to the child.
         """
         heapq.heappush(
             self._queue,
             (
                 time.monotonic() + delay,
-                self._seq, index, spec, attempt, span_context,
+                self._seq, index, spec, attempt, span_context, trace,
             ),
         )
         self._seq += 1
@@ -251,11 +264,16 @@ class CellExecutor:
             and len(self._running) < self._jobs
             and self._queue[0][0] <= now
         ):
-            _, _, index, spec, attempt, span_context = heapq.heappop(self._queue)
+            _, _, index, spec, attempt, span_context, trace = heapq.heappop(
+                self._queue
+            )
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_cell_worker,
-                args=(child_conn, spec, attempt, self._faults, span_context),
+                args=(
+                    child_conn, spec, attempt, self._faults, span_context,
+                    trace() if trace is not None else None,
+                ),
                 daemon=True,
             )
             process.start()
@@ -293,13 +311,17 @@ class CellExecutor:
         return events
 
     def _check(self, index: int, task: _Task) -> Optional[CellEvent]:
+        # Liveness first: a worker reports and then exits, so once it is
+        # seen dead its report, if any, is already in the pipe.  Polling
+        # first would miss a report sent between the two checks.
+        alive = task.process.is_alive()
         if task.conn.poll():
             try:
                 message = task.conn.recv()
             except (EOFError, OSError):
                 return self._crash_event(index, task)
             return self._message_event(index, task, message)
-        if not task.process.is_alive():
+        if not alive:
             return self._crash_event(index, task)
         if (
             self._timeout is not None
@@ -375,11 +397,12 @@ class InlineExecutor:
 
     For sweeps a child process cannot serve (probes stream per-reference
     events that cannot cross processes) or does not need to (one job, no
-    timeout, no kill fault).  Attempts run one per :meth:`poll`, in cell
-    order, so a retried cell runs again before the next cell starts; its
-    backoff is a delayed :meth:`submit` that the poll sleeps out.  Kill
-    faults are skipped, an interrupt propagates to the caller, and the
-    attempt's metrics land in the process-wide registry directly.
+    timeout, no kill fault).  Attempts run one per :meth:`poll`, cells in
+    the order they were first submitted, so a retried cell runs again
+    before the next cell starts; its backoff is a delayed :meth:`submit`
+    that the poll sleeps out.  Kill faults are skipped, an interrupt
+    propagates to the caller, and the attempt's metrics land in the
+    process-wide registry directly.
     """
 
     #: nothing runs between polls
@@ -394,7 +417,9 @@ class InlineExecutor:
         self._faults = faults
         self._telemetry = telemetry
         self._probe_factory = probe_factory
-        self._queue: List[Tuple[int, float, int, object, object]] = []
+        self._queue: List[Tuple] = []
+        #: cell index -> its place in the first-submission order
+        self._rank: Dict[int, int] = {}
 
     def submit(
         self,
@@ -403,11 +428,16 @@ class InlineExecutor:
         attempt: int = 1,
         delay: float = 0.0,
         span_context=None,
+        trace=None,
     ) -> None:
         """Queue one cell attempt, optionally delayed (retry backoff)."""
+        rank = self._rank.setdefault(index, len(self._rank))
         heapq.heappush(
             self._queue,
-            (index, time.monotonic() + delay, attempt, spec, span_context),
+            (
+                rank, time.monotonic() + delay,
+                index, attempt, spec, span_context, trace,
+            ),
         )
 
     @property
@@ -415,10 +445,12 @@ class InlineExecutor:
         return bool(self._queue)
 
     def poll(self) -> List[CellEvent]:
-        """Run the lowest-indexed queued attempt once its backoff is over."""
+        """Run the first-submitted queued cell once its backoff is over."""
         if not self._queue:
             return []
-        index, ready, attempt, spec, span_context = heapq.heappop(self._queue)
+        _, ready, index, attempt, spec, span_context, trace = heapq.heappop(
+            self._queue
+        )
         pause = ready - time.monotonic()
         if pause > 0:
             time.sleep(pause)
@@ -431,6 +463,7 @@ class InlineExecutor:
             parent=span_context[1] if span_context is not None else None,
             tid=index + 1,
             probe=probe,
+            trace=trace() if trace is not None else None,
         )
         return [CellEvent(index=index, spec=spec, attempt=attempt, **outcome)]
 

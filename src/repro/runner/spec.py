@@ -37,6 +37,7 @@ from ..protocols.registry import (
     create_protocol,
     unknown_protocol_message,
 )
+from ..trace import PackedTrace  # None without numpy
 from ..trace.record import DEFAULT_BLOCK_SIZE, TraceRecord
 from ..trace.stream import SharingModel
 from ..trace.synthetic import SyntheticWorkload, WorkloadProfile
@@ -152,6 +153,19 @@ class RunSpec:
     def build_trace(self) -> Iterable[TraceRecord]:
         return SyntheticWorkload(self.profile()).records()
 
+    def uses_columns(self, probe=None) -> bool:
+        """Whether :meth:`run` consumes a column-native trace.
+
+        True for the fast backend with numpy and no probe; the reference
+        backend and probed runs consume the record stream, so the
+        reference engine stays an independent oracle for the columns.
+        """
+        return self.backend == "fast" and probe is None and PackedTrace is not None
+
+    def build_columns(self) -> "PackedTrace":
+        """This cell's trace as :class:`~repro.trace.packed.PackedTrace` columns."""
+        return SyntheticWorkload(self.profile()).columns()
+
     def build_protocol(self) -> CoherenceProtocol:
         return create_protocol(self.protocol, self.n_caches)
 
@@ -260,16 +274,24 @@ class RunSpec:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, probe=None) -> SimulationResult:
+    def run(self, probe=None, trace=None) -> SimulationResult:
         """Simulate this cell from scratch (no cache involved).
 
         ``probe`` is an optional :class:`~repro.obs.probe.ReferenceProbe`
         streaming the cell's per-reference events; it never changes the
-        counted result.
+        counted result.  ``trace`` is this cell's trace when the caller
+        already has it (a sweep shares one :meth:`build_columns` trace
+        among the cells of one workload profile); by default the cell
+        generates its own, as columns when :meth:`uses_columns`.
         """
+        if trace is None:
+            trace = (
+                self.build_columns() if self.uses_columns(probe)
+                else self.build_trace()
+            )
         return simulate(
             self.build_protocol(),
-            self.build_trace(),
+            trace,
             trace_name=self.trace,
             block_size=self.block_size,
             sharing_model=self.sharing_model,

@@ -6,11 +6,15 @@
    cache hits (direct, or via the characterization-free base key),
    leaders to simulate, and followers re-priced from a leader's counters
    (the paper's Section 4.1 method: sweeping k characterizations costs
-   one simulation per configuration).
-2. **Dispatch** — one loop submits the leaders to an executor and
-   consumes its :class:`~repro.resilience.executor.CellEvent` stream,
-   resubmitting failed attempts after a deterministic backoff
-   (:class:`~repro.resilience.retry.RetryPolicy`).  The executor is a
+   one simulation per configuration), and groups the leaders by trace.
+2. **Dispatch** — one loop submits the leaders to an executor, one trace
+   group after another, and consumes its
+   :class:`~repro.resilience.executor.CellEvent` stream, resubmitting
+   failed attempts after a deterministic backoff
+   (:class:`~repro.resilience.retry.RetryPolicy`).  Fast-backend cells of
+   one workload profile share one column-native trace, generated once in
+   this process when the group's first attempt starts and dropped when
+   its last cell settles (:class:`_TraceStore`).  The executor is a
    :class:`~repro.resilience.executor.CellExecutor` (one child process
    per attempt: isolation, kill-based ``cell_timeout``, crash detection)
    when ``jobs > 1``, a timeout or a kill fault asks for one, and an
@@ -30,9 +34,10 @@ spans, heartbeat status snapshots) is observer-only: counters stay
 bit-identical with it on (``docs/observability.md``).
 
 Determinism contract: the outcome list is ordered exactly like the input
-spec list and each attempt reconstructs its trace from the spec's seed,
-so ``jobs=N`` produces bit-identical counters to ``jobs=1``; only timings
-and worker attribution vary, which :meth:`SweepReport.cell_table` omits.
+spec list and every trace, shared or not, is generated from the spec's
+seed, so ``jobs=N`` produces bit-identical counters to ``jobs=1``; only
+timings, settle order and worker attribution vary, which
+:meth:`SweepReport.cell_table` omits.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,6 +61,7 @@ from ..resilience.errors import CellFailure, RunError, SweepInterrupted
 from ..resilience.executor import CellEvent, CellExecutor, InlineExecutor
 from ..resilience.journal import JOURNAL_SUFFIX, SweepJournal
 from ..resilience.retry import RetryPolicy
+from ..trace.synthetic import SyntheticWorkload, WorkloadProfile
 from .cache import ResultCache
 from .plan import plan_sweep
 from .spec import INFINITE_GEOMETRY, RunSpec
@@ -64,7 +71,7 @@ __all__ = ["RunOutcome", "SweepReport", "run_sweep"]
 logger = get_logger("runner.sweep")
 
 #: Hook called once per completed cell (cache hits in spec order first,
-#: then simulated cells in completion order).
+#: then simulated cells in completion order, trace group by trace group).
 ProgressHook = Callable[["RunOutcome"], None]
 
 #: Factory producing a per-cell probe for instrumented sweeps.
@@ -395,6 +402,59 @@ class SweepReport:
         }
 
 
+class _TraceStore:
+    """One sweep's shared traces: a column-native trace per group of cells.
+
+    The planner groups leaders by workload profile; every group of two or
+    more gets one :meth:`~repro.trace.synthetic.SyntheticWorkload.columns`
+    trace, generated when the group's first attempt starts (the executor
+    calls :meth:`handle`'s result) and dropped when the group's last cell
+    settles.  A retry keeps its cell pending, so the traces alive at once
+    are those of groups with queued, running or retry-pending attempts.
+    Other leaders generate their own trace inside their attempt.  The
+    store counts ``sweep.trace_generations`` (one per group, one per
+    simulated leader outside a group) and ``sweep.trace_shared`` (cells
+    that ran on a trace another cell's attempt built).
+    """
+
+    def __init__(self, groups, registry: MetricsRegistry) -> None:
+        self._profile: Dict[int, WorkloadProfile] = {}
+        self._pending: Dict[WorkloadProfile, int] = {}
+        for profile, cells in groups:
+            if profile is not None and len(cells) > 1:
+                self._pending[profile] = len(cells)
+                self._profile.update(dict.fromkeys(cells, profile))
+        self._live: Dict[WorkloadProfile, object] = {}
+        self._served: set = set()
+        self._registry = registry
+
+    def handle(self, index: int) -> Optional[Callable[[], object]]:
+        """What the executor calls for the cell's trace; None: it makes its own."""
+        return partial(self._get, index) if index in self._profile else None
+
+    def _get(self, index: int):
+        profile = self._profile[index]
+        trace = self._live.get(profile)
+        if trace is None:
+            trace = self._live[profile] = SyntheticWorkload(profile).columns()
+            self._registry.counter("sweep.trace_generations").inc()
+        elif index not in self._served:
+            self._registry.counter("sweep.trace_shared").inc()
+        self._served.add(index)
+        return trace
+
+    def release(self, index: int, simulated: bool) -> None:
+        """The cell settled: drop its group's trace after the group's last."""
+        profile = self._profile.get(index)
+        if profile is None:
+            if simulated:
+                self._registry.counter("sweep.trace_generations").inc()
+            return
+        self._pending[profile] -= 1
+        if not self._pending[profile]:
+            self._live.pop(profile, None)
+
+
 @dataclass(eq=False)
 class _Sweep:
     """One running sweep: its settings, its progress, and the one settle step.
@@ -425,6 +485,8 @@ class _Sweep:
     sweep_id: str
     #: leader index -> cells re-priced from its counters (see plan_sweep)
     followers: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
+    #: the shared traces, set once the plan exists
+    traces: Optional[_TraceStore] = None
     done: int = 0
     failed: int = 0
     status_healthy: bool = True
@@ -497,6 +559,7 @@ class _Sweep:
             self._marker(index, "reprice", worker=outcome.worker)
         elif simulated:
             counter("sweep.simulated").inc()
+            counter(f"simulate.engine.{outcome.result.engine}").inc()
             self.registry.histogram("sweep.cell_seconds").observe(outcome.elapsed)
             self._end_cell_span(
                 index, status="ok", attempts=attempts,
@@ -558,7 +621,7 @@ class _Sweep:
         """
         spec, key = self.specs[index], self.keys[index]
         manifest = (
-            collect_manifest(spec.as_dict(), key, 0.0)
+            collect_manifest(spec.as_dict(), key, 0.0, engine=result.engine)
             if via_base
             else self.cache.get_manifest(key)
         )
@@ -573,6 +636,7 @@ class _Sweep:
     def complete(self, event: CellEvent) -> None:
         """Settle a simulated cell, then the cells re-priced from it."""
         result, elapsed, worker, manifest = event.payload
+        self.traces.release(event.index, simulated=True)
         self.settle(
             event.index,
             RunOutcome(
@@ -590,7 +654,7 @@ class _Sweep:
                     worker=worker, repriced=True,
                     manifest=collect_manifest(
                         spec.as_dict(), self.keys[index], 0.0,
-                        worker_pid=worker,
+                        worker_pid=worker, engine=result.engine,
                     ),
                 ),
             )
@@ -625,11 +689,9 @@ class _Sweep:
                     error=f"{event.exc_type}: {event.message}",
                 ),
             )
-            self.executor.submit(
-                index, self.specs[index], attempt + 1, delay,
-                span_context=self.span_context(index),
-            )
+            self.submit(index, attempt + 1, delay)
             return
+        self.traces.release(index, simulated=False)
         error = RunError(
             kind=event.kind, exc_type=event.exc_type, message=event.message,
             attempts=attempt, worker=event.worker, elapsed=event.elapsed,
@@ -659,6 +721,14 @@ class _Sweep:
                 self.cell_ids[index], error,
                 reason=f"more than max_failures={self.max_failures} cells failed",
             )
+
+    def submit(self, index: int, attempt: int = 1, delay: float = 0.0) -> None:
+        """Hand one attempt of a leader to the executor."""
+        self.executor.submit(
+            index, self.specs[index], attempt, delay,
+            span_context=self.span_context(index),
+            trace=self.traces.handle(index),
+        )
 
     # -- progress reporting ----------------------------------------------------
 
@@ -913,6 +983,9 @@ def run_sweep(
             plan = plan_sweep(
                 keys, base_keys, cache.get if cache is not None else None,
                 group=not probed,
+                trace_of=None if probed else lambda index: (
+                    specs[index].profile() if specs[index].uses_columns() else None
+                ),
             )
             for index, result, via_base in plan.hits:
                 sweep.serve_hit(index, result, via_base)
@@ -935,10 +1008,10 @@ def run_sweep(
                     ),
                 )
             sweep.followers = plan.followers
-            for index in plan.leaders:
-                executor.submit(
-                    index, specs[index], span_context=sweep.span_context(index)
-                )
+            sweep.traces = _TraceStore(plan.groups, registry)
+            for _, cells in plan.groups:
+                for index in cells:
+                    sweep.submit(index)
             while executor.active:
                 for event in executor.poll():
                     # Worker-side telemetry rides on every event, success or

@@ -44,7 +44,11 @@ snapshot back over a pipe, and the parent folds it into the service
 registry via :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` —
 one scrape endpoint sees every sweep, however it executed.  A child
 process also makes cancellation honest: ``terminate()`` actually stops a
-sweep mid-flight, which no amount of thread flagging can.
+sweep mid-flight, which no amount of thread flagging can.  The child is
+not daemonic, since its sweep forks cell workers for ``jobs > 1`` or a
+``cell_timeout``: cancel and :meth:`JobManager.shutdown` terminate and
+join it, its SIGTERM interrupts the sweep (which kills those workers),
+and after a crash the journal's pid + start-time reaping covers it.
 """
 
 from __future__ import annotations
@@ -290,6 +294,8 @@ def _job_process_main(conn, specs, options, cache_dir: str, job_dir: str) -> Non
     them across the process boundary would double count), so the parent
     can fold this sweep into the service-wide registry.
     """
+    # terminate() interrupts the sweep, which kills its cell workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     registry = MetricsRegistry()
     set_registry(registry)
     cache = ResultCache(Path(cache_dir), registry=registry)
@@ -358,6 +364,7 @@ class JobManager:
             maxsize=queue_limit
         )
         self._draining = False
+        self._stopping = threading.Event()
         self._recovered = threading.Event()
         self._mp = multiprocessing.get_context()
         self._workers = [
@@ -606,7 +613,6 @@ class JobManager:
                 str(self.cache.directory),
                 str(job.directory),
             ),
-            daemon=True,
         )
         with job.lock:
             job.process = process
@@ -625,18 +631,23 @@ class JobManager:
 
         outcome: Optional[dict] = None
         while True:
-            if job.cancel_event.is_set():
+            cancelled = job.cancel_event.is_set()
+            if cancelled or self._stopping.is_set():
+                # A shutdown journals no terminal state, so a restart on
+                # the same state directory re-queues the job.
                 process.terminate()
                 process.join(timeout=10.0)
                 with job.lock:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
                     job.process = None
+                    if cancelled:
+                        job.state = JobState.CANCELLED
+                        job.finished_at = time.time()
                 parent_conn.close()
-                write_status(job.status_path, {"state": JobState.CANCELLED})
-                self.journal.record(
-                    job.job_id, "cancelled", finished_at=job.finished_at
-                )
+                if cancelled:
+                    write_status(job.status_path, {"state": JobState.CANCELLED})
+                    self.journal.record(
+                        job.job_id, "cancelled", finished_at=job.finished_at
+                    )
                 return
             if parent_conn.poll(timeout=0.1) or not process.is_alive():
                 # Poll again: a dead child may have sent just before exiting.
@@ -984,7 +995,12 @@ class JobManager:
         return False
 
     def shutdown(self, cancel_running: bool = False) -> None:
-        """Tear the worker pool down (used by tests and the serve loop)."""
+        """Tear the worker pool down (used by tests and the serve loop).
+
+        Running jobs are cancelled with ``cancel_running``; otherwise their
+        sweep processes are terminated and joined with no terminal state
+        journalled, so a restart on the same state directory re-queues them.
+        """
         self._draining = True
         if cancel_running:
             with self._lock:
@@ -994,6 +1010,7 @@ class JobManager:
                     terminal = job.state in JobState.TERMINAL
                 if not terminal:
                     self.cancel(job.job_id)
+        self._stopping.set()
         for _ in self._workers:
             try:
                 self._queue.put_nowait(None)
@@ -1001,3 +1018,10 @@ class JobManager:
                 break
         for worker in self._workers:
             worker.join(timeout=5.0)
+        with self._lock:
+            jobs = list(self._jobs.values())
+        for job in jobs:
+            process = job.process
+            if process is not None and process.is_alive():
+                process.terminate()
+                process.join(timeout=10.0)

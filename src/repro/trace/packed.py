@@ -26,14 +26,15 @@ except ImportError as exc:  # pragma: no cover - environment without numpy
         "record iterators"
     ) from exc
 
-from .record import AccessType, TraceRecord
+from .record import FLAG_OS, FLAG_SPIN, AccessType, TraceRecord
 
-__all__ = ["PackedTrace"]
+__all__ = ["COLUMN_DTYPES", "PackedTrace"]
 
 PathLike = Union[str, Path]
 
-_FLAG_SPIN = 0x1
-_FLAG_OS = 0x2
+#: The packed dtype of each column, in constructor order
+#: (cpu, pid, access, address, flags).
+COLUMN_DTYPES = (_np.uint16, _np.uint32, _np.uint8, _np.uint64, _np.uint8)
 
 
 def _as_column(name: str, values, dtype) -> "_np.ndarray":
@@ -92,11 +93,9 @@ class PackedTrace:
         lengths = {len(cpu), len(pid), len(access), len(address), len(flags)}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        self.cpu = _as_column("cpu", cpu, _np.uint16)
-        self.pid = _as_column("pid", pid, _np.uint32)
-        self.access = _as_column("access", access, _np.uint8)
-        self.address = _as_column("address", address, _np.uint64)
-        self.flags = _as_column("flags", flags, _np.uint8)
+        columns = (cpu, pid, access, address, flags)
+        for name, values, dtype in zip(self.__slots__, columns, COLUMN_DTYPES):
+            setattr(self, name, _as_column(name, values, dtype))
 
     # -- construction ---------------------------------------------------------
 
@@ -109,8 +108,8 @@ class PackedTrace:
             access.append(int(record.access))
             address.append(record.address)
             flags.append(
-                (_FLAG_SPIN if record.is_lock_spin else 0)
-                | (_FLAG_OS if record.is_os else 0)
+                (FLAG_SPIN if record.is_lock_spin else 0)
+                | (FLAG_OS if record.is_os else 0)
             )
         return cls(cpu, pid, access, address, flags)
 
@@ -129,8 +128,8 @@ class PackedTrace:
                 pid=int(pid[index]),
                 access=AccessType(int(access[index])),
                 address=int(address[index]),
-                is_lock_spin=bool(flag & _FLAG_SPIN),
-                is_os=bool(flag & _FLAG_OS),
+                is_lock_spin=bool(flag & FLAG_SPIN),
+                is_os=bool(flag & FLAG_OS),
             )
 
     def __getitem__(self, index) -> Union[TraceRecord, "PackedTrace"]:
@@ -148,8 +147,8 @@ class PackedTrace:
             pid=int(self.pid[index]),
             access=AccessType(int(self.access[index])),
             address=int(self.address[index]),
-            is_lock_spin=bool(flag & _FLAG_SPIN),
-            is_os=bool(flag & _FLAG_OS),
+            is_lock_spin=bool(flag & FLAG_SPIN),
+            is_os=bool(flag & FLAG_OS),
         )
 
     # -- vectorised statistics -------------------------------------------------
@@ -172,10 +171,10 @@ class PackedTrace:
         return int((self.access == int(AccessType.WRITE)).sum())
 
     def spin_count(self) -> int:
-        return int((self.flags & _FLAG_SPIN).astype(bool).sum())
+        return int((self.flags & FLAG_SPIN).astype(bool).sum())
 
     def os_count(self) -> int:
-        return int((self.flags & _FLAG_OS).astype(bool).sum())
+        return int((self.flags & FLAG_OS).astype(bool).sum())
 
     def distinct_data_blocks(self, block_size: int = 16) -> int:
         data = self.access != int(AccessType.INSTR)

@@ -22,7 +22,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["AccessType", "TraceRecord", "DEFAULT_BLOCK_SIZE", "block_of"]
+__all__ = [
+    "AccessType",
+    "TraceRecord",
+    "DEFAULT_BLOCK_SIZE",
+    "FLAG_OS",
+    "FLAG_SPIN",
+    "block_of",
+]
 
 #: Block size used throughout the paper: 4 words of 4 bytes (Section 4).
 DEFAULT_BLOCK_SIZE = 16
@@ -32,6 +39,12 @@ WORD_SIZE = 4
 
 #: Words per block under the default block size.
 WORDS_PER_BLOCK = DEFAULT_BLOCK_SIZE // WORD_SIZE
+
+#: Bits of a packed reference's ``flags`` column
+#: (:class:`~repro.trace.packed.PackedTrace`): a lock-spin read, and an
+#: operating-system reference.
+FLAG_SPIN = 0x1
+FLAG_OS = 0x2
 
 
 class AccessType(enum.IntEnum):

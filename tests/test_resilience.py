@@ -342,6 +342,42 @@ class TestCellExecutor:
         assert event.exc_type == "CellTimeout"
         assert "0.3s" in event.message
 
+    def test_a_report_sent_just_before_exit_is_not_a_crash(self):
+        """The worker reports and exits between two of the parent's checks:
+        the parent must read the report, not declare a crash."""
+        from repro.resilience.executor import _Task
+
+        checks = []
+
+        def reported_and_exited() -> bool:
+            checks.append(None)
+            return len(checks) > 1  # true from the second check on
+
+        class Process:
+            pid, exitcode = 4242, 0
+
+            def is_alive(self):
+                return not reported_and_exited()
+
+            def join(self):
+                pass
+
+        class Conn:
+            def poll(self):
+                return reported_and_exited()
+
+            def recv(self):
+                return dict(payload=("result", 0.1, 4242, None), worker=4242), None, []
+
+            def close(self):
+                pass
+
+        task = _Task(process=Process(), conn=Conn(), spec="cell", attempt=1,
+                     started=0.0)
+        event = CellExecutor(jobs=1)._check(0, task)
+        assert event is not None and event.ok
+        assert event.payload[0] == "result"
+
     def test_abort_kills_everything(self):
         specs = grid(protocols=("dir0b", "dragon"), traces=("POPS", "THOR"))
         executor = CellExecutor(

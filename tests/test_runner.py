@@ -1,15 +1,18 @@
 """Tests for the parallel sweep runner: specs, cache, fan-out, metrics."""
 
 import pickle
+import weakref
 
 import pytest
 
 from repro.analysis.tables import table4, table5
 from repro.core.comparison import run_standard_comparison
 from repro.protocols.registry import PAPER_CORE_SCHEMES
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.runner import ResultCache, RunSpec, run_sweep, sweep_grid
 from repro.runner.plan import plan_sweep
 from repro.trace.stream import SharingModel
+from repro.trace.synthetic import SyntheticWorkload
 
 #: Tiny traces so the whole module stays fast.
 SCALE = 1.0 / 1024.0
@@ -389,6 +392,102 @@ class TestPlanSweep:
         )
         assert plan.leaders == (0,)
         assert plan.followers == {0: (1,)}
+
+
+    def test_leaders_group_by_trace_in_dispatch_order(self):
+        keys = ["k0", "k1", "k2", "k3", "k4", "k5"]
+        trace_of = {0: "P", 1: "T", 2: "P", 3: None, 4: "T", 5: "P"}
+        asked = []
+
+        def identity(index):
+            asked.append(index)
+            return trace_of[index]
+
+        plan = plan_sweep(keys, keys, {"k5": "r5"}.get, trace_of=identity)
+        assert plan.leaders == (0, 1, 2, 3, 4)
+        assert plan.groups == (("P", (0, 2)), ("T", (1, 4)), (None, (3,)))
+        assert asked == [0, 1, 2, 3, 4]  # leaders only, never the hit
+
+    def test_without_trace_identities_each_leader_is_its_own_group(self):
+        plan = plan_sweep(["a", "b"], ["a", "b"])
+        assert plan.groups == ((None, (0,)), (None, (1,)))
+
+
+def shared_grid(backend="fast"):
+    """12 cells on 4 traces: three protocols (one on the reference
+    fallback) x two traces x two seeds."""
+    return sweep_grid(
+        ("dir0b", "dragon", "coarse"), traces=("POPS", "THOR"), scale=SCALE,
+        seeds=(3, 4), backend=backend,
+    )
+
+
+def signatures(report):
+    return [outcome.result.counters.signature() for outcome in report.outcomes]
+
+
+def trace_counters(report):
+    counters = report.registry.as_dict()["counters"]
+    return (
+        counters.get("sweep.trace_generations", 0),
+        counters.get("sweep.trace_shared", 0),
+    )
+
+
+@pytest.mark.requires_numpy
+class TestTraceSharing:
+    """Fast-backend cells of one workload profile share one trace."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return signatures(run_sweep(shared_grid("reference")))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_traces_match_the_reference_engine(self, reference, jobs):
+        report = run_sweep(shared_grid(), jobs=jobs)
+        assert signatures(report) == reference
+        assert trace_counters(report) == (4, 8)
+
+    def test_reference_backend_generates_per_cell(self):
+        report = run_sweep(shared_grid("reference")[:3])
+        assert trace_counters(report) == (3, 0)
+
+    def test_warm_rerun_generates_nothing(self, tmp_path):
+        run_sweep(shared_grid(), cache=ResultCache(tmp_path))
+        warm = run_sweep(shared_grid(), cache=ResultCache(tmp_path))
+        assert warm.simulations == 0
+        assert trace_counters(warm) == (0, 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_retry_runs_on_its_group_trace(self, reference, jobs):
+        faults = FaultPlan(faults=(FaultSpec(cell="dragon:THOR:*", kind="raise"),))
+        report = run_sweep(shared_grid(), jobs=jobs, retry=1, faults=faults)
+        assert signatures(report) == reference
+        assert report.registry.counter("sweep.retries").value == 2
+        assert report.registry.counter("sweep.simulated").value == 12
+        assert trace_counters(report) == (4, 8)
+
+    def test_one_trace_is_live_at_a_time_serially(self, monkeypatch):
+        generated = []
+        alive_at_generation = []
+        columns = SyntheticWorkload.columns
+
+        def tracked(workload):
+            alive_at_generation.append(sum(ref() is not None for ref in generated))
+            trace = columns(workload)
+            generated.append(weakref.ref(trace.address))
+            return trace
+
+        monkeypatch.setattr(SyntheticWorkload, "columns", tracked)
+        report = run_sweep(shared_grid(), jobs=1)
+        assert trace_counters(report) == (4, 8)
+        assert alive_at_generation == [0, 0, 0, 0]
+        assert all(ref() is None for ref in generated)
+
+    def test_singleton_groups_generate_inside_their_cell(self):
+        specs = sweep_grid(("dir0b",), traces=("POPS", "THOR"), scale=SCALE,
+                           backend="fast")
+        assert trace_counters(run_sweep(specs, jobs=2)) == (2, 0)
 
 
 class TestStandardComparisonViaRunner:

@@ -443,6 +443,41 @@ def _wait_terminal(job, timeout=180.0):
     return job
 
 
+class TestJobProcess:
+    """A queued job's sweep runs in a non-daemonic process of its own."""
+
+    def test_job_with_cell_workers_and_timeout_finishes(self, tmp_path):
+        """``jobs > 1`` and a cell timeout make the job's sweep fork cell
+        workers, which a daemonic job process may not do."""
+        payload = doc("dir0b", "dragon", traces=("POPS", "THOR"))
+        payload["options"] = {"jobs": 2, "cell_timeout": 60}
+        manager = JobManager(tmp_path / "svc")
+        try:
+            job = _wait_terminal(manager.submit(payload))
+            assert job.state == JobState.FINISHED, job.error
+            result = json.loads(job.result_path.read_text())
+        finally:
+            manager.shutdown(cancel_running=True)
+        direct = run_sweep(list(parse_request(payload, max_jobs=2).specs))
+        assert [entry["signature"] for entry in result["outcomes"]] == [
+            outcome.result.counters.signature() for outcome in direct.outcomes
+        ]
+
+    def test_shutdown_stops_a_running_job_for_recovery(self, tmp_path):
+        """Shutdown terminates and joins the job process and journals no
+        terminal state, so a restart re-queues the job."""
+        manager = JobManager(tmp_path / "svc")
+        job = manager.submit(doc("dir0b", "dragon", "firefly", scale=8))
+        deadline = time.monotonic() + 30
+        while job.process is None or not job.process.is_alive():
+            assert time.monotonic() < deadline, "sweep process never rose"
+            time.sleep(0.01)
+        process = job.process
+        manager.shutdown()
+        assert not process.is_alive()
+        assert manager.journal.load()[job.job_id]["state"] == "running"
+
+
 class TestDedupeDecision:
     def test_corrupt_entry_queues_the_job_instead_of_simulating_inline(
         self, tmp_path
