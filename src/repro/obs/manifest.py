@@ -49,7 +49,12 @@ def peak_rss_kb() -> Optional[int]:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance of one executed simulation cell."""
+    """Provenance of one executed simulation cell.
+
+    A sweep's cell workers are long-lived, so the cells one worker ran
+    share its ``worker_pid``, and ``peak_rss_kb`` is that worker's peak so
+    far, over this cell and every cell it ran before.
+    """
 
     #: the on-disk cache key the result is (or would be) stored under
     cache_key: str

@@ -9,8 +9,9 @@ structured failure record":
   (SIGINT with partial results).
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: bounded attempts,
   exponential backoff, deterministic (hash-seeded) jitter.
-* :mod:`~repro.resilience.executor` — :class:`CellExecutor`: one child
-  process per cell attempt, kill-based timeouts, crash detection.
+* :mod:`~repro.resilience.executor` — :class:`CellExecutor`: long-lived
+  worker processes, one per slot per trace group; kill-based timeouts,
+  crash detection.
 * :mod:`~repro.resilience.journal` — :class:`SweepJournal`: append-only
   JSONL record of per-cell outcomes powering ``sweep --resume``.
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan`: seeded,
